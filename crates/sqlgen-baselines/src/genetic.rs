@@ -1,4 +1,4 @@
-//! Genetic-algorithm baseline after Bati et al. [8] (paper related work:
+//! Genetic-algorithm baseline after Bati et al. \[8\] (paper related work:
 //! "a genetic approach for random testing of database systems").
 //!
 //! Bati et al. evolve a population of queries through random mutations

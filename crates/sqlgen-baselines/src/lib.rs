@@ -4,7 +4,7 @@
 //!   validity FSM, generate-and-filter;
 //! * [`template`] — Bruno/Mishra-style template tuning: hill climbing over
 //!   predicate values with top-k space pruning;
-//! * [`genetic`] — a Bati-style genetic algorithm (related-work [8]),
+//! * [`genetic`] — a Bati-style genetic algorithm (related-work \[8\]),
 //!   included as an extension baseline.
 
 pub mod genetic;

@@ -1,5 +1,5 @@
-//! Template-based baseline (paper §7.1 "Template", after Bruno et al. [10]
-//! and Mishra et al. [38]).
+//! Template-based baseline (paper §7.1 "Template", after Bruno et al. \[10\]
+//! and Mishra et al. \[38\]).
 //!
 //! A template is a statement whose predicate literals are tunable holes
 //! ("the x in R.a < x"). Tuning combines the two published techniques:

@@ -11,8 +11,6 @@ pub struct HarnessArgs {
     pub seed: u64,
     /// Training episodes for the learned method.
     pub train: usize,
-    /// Worker threads for episode collection (1 = exact serial behaviour).
-    pub threads: usize,
     /// Lockstep inference lanes (1 = exact serial behaviour).
     pub batch: usize,
     /// Quick mode: shrink everything for a smoke run.
@@ -34,7 +32,6 @@ impl Default for HarnessArgs {
             scale: 0.3,
             seed: 42,
             train: 400,
-            threads: 1,
             batch: 1,
             quick: false,
             benchmark: None,
@@ -64,10 +61,6 @@ impl HarnessArgs {
                 "--scale" => args.scale = value("--scale").parse().expect("--scale: float"),
                 "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
                 "--train" => args.train = value("--train").parse().expect("--train: integer"),
-                "--threads" => {
-                    args.threads = value("--threads").parse().expect("--threads: integer");
-                    args.threads = args.threads.max(1);
-                }
                 "--batch" => {
                     args.batch = value("--batch").parse().expect("--batch: integer");
                     args.batch = args.batch.max(1);
@@ -80,8 +73,7 @@ impl HarnessArgs {
                 "--help" | "-h" => {
                     println!(
                         "flags: --n <queries> --scale <sf> --seed <u64> \
-                         --train <episodes> --threads <workers> \
-                         --batch <lanes> \
+                         --train <episodes> --batch <lanes> \
                          --benchmark <tpch|job|xuetang> --quick \
                          --trace <path.jsonl> --metrics --quiet"
                     );
@@ -145,13 +137,9 @@ mod tests {
         assert_eq!(a.n, 50);
         assert_eq!(a.seed, 7);
         assert!((a.scale - 1.5).abs() < 1e-12);
-        assert_eq!(a.threads, 1);
-        let a = parse(&["--threads", "4"]);
-        assert_eq!(a.threads, 4);
-        // 0 is clamped to the serial path rather than rejected.
-        assert_eq!(parse(&["--threads", "0"]).threads, 1);
         assert_eq!(a.batch, 1);
         assert_eq!(parse(&["--batch", "8"]).batch, 8);
+        // 0 is clamped to the serial path rather than rejected.
         assert_eq!(parse(&["--batch", "0"]).batch, 1);
     }
 

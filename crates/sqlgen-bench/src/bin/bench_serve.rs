@@ -250,11 +250,10 @@ fn downsample(mut timeline: Vec<(f64, usize)>) -> Vec<(f64, usize)> {
 }
 
 fn run_phase(db: &Database, seed: u64, batch: usize, plan: &LoadPlan) -> PhaseResult {
-    let schema = Schema::build("tpch", db, &harness_gen_config(seed), None, 512);
+    let schema = Schema::build("tpch", db, &harness_gen_config(seed), None);
     let server: ServerHandle = serve(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: plan.workers,
             batch,
             max_queue: 512,
             max_wait_ms: 2,
@@ -873,7 +872,7 @@ fn run_open_phases(
     let start_server = || {
         let mut gen_config = harness_gen_config(seed);
         gen_config.quantize = quant;
-        let schema = Schema::build("tpch", db, &gen_config, None, 512);
+        let schema = Schema::build("tpch", db, &gen_config, None);
         serve(
             ServeConfig {
                 addr: "127.0.0.1:0".to_string(),
@@ -886,10 +885,6 @@ fn run_open_phases(
                 max_batch_jobs: (batch * 8).max(16),
                 read_timeout_ms: 120_000,
                 write_timeout_ms: 120_000,
-                // A/B escape hatch: BENCH_SERVE_LEGACY=1 runs the open
-                // phases against the worker-per-connection pool instead of
-                // the event backend (small connection counts only).
-                legacy_pool: std::env::var("BENCH_SERVE_LEGACY").is_ok(),
                 ..ServeConfig::default()
             },
             vec![schema],
@@ -1130,7 +1125,7 @@ fn run_qps_sweep(
 ) -> Vec<SweepPoint> {
     let mut gen_config = harness_gen_config(seed);
     gen_config.quantize = quant;
-    let schema = Schema::build("tpch", db, &gen_config, None, 512);
+    let schema = Schema::build("tpch", db, &gen_config, None);
     let server = serve(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),

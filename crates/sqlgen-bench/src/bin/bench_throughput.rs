@@ -1,13 +1,12 @@
 //! Throughput benchmark for the RL pipeline.
 //!
-//! Measures training throughput (episodes/sec, tokens/sec) at `--threads 1`
-//! versus a parallel worker count and across a lane-batched training sweep
-//! (batched BPTT at batch 4/8/16), and inference throughput (queries/sec,
-//! tokens/sec) with a warm policy across a batch-size sweep — plus p50/p95
-//! per-token step latency from the `rl.step.latency_us` histogram. The
-//! histogram is reset between phases and every phase row records the
-//! machine's hardware thread count alongside its own threads/batch, so
-//! rows are comparable in isolation. Results go to `BENCH_train.json` and
+//! Measures training throughput (episodes/sec, tokens/sec) on the serial
+//! path and across a lane-batched training sweep (batched BPTT at batch
+//! 4/8/16), and inference throughput (queries/sec, tokens/sec) with a warm
+//! policy across a batch-size sweep — plus p50/p95 per-token step latency
+//! from the `rl.step.latency_us` histogram. The histogram is reset between
+//! phases and every phase row records the machine's hardware thread count
+//! alongside its own batch, so rows are comparable in isolation. Results go to `BENCH_train.json` and
 //! `BENCH_generate.json` in `--out` (default: current directory).
 //!
 //! The sweeps run batch sizes 1/4/8/16 by default; `--batch <B>` narrows
@@ -37,7 +36,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 struct TrainPhase {
-    threads: usize,
     /// Lockstep training lanes (batched BPTT); 1 = serial updates.
     batch: usize,
     hardware_threads: usize,
@@ -52,19 +50,16 @@ struct TrainPhase {
 /// generator so the inference phase can reuse the warm policy. The step
 /// histogram is reset up front so the phase row only counts its own
 /// samples.
-#[allow(clippy::too_many_arguments)]
 fn run_train(
     db: &Database,
     constraint: Constraint,
     seed: u64,
     episodes: usize,
-    threads: usize,
     batch: usize,
     refine: bool,
     hist: &Histogram,
 ) -> (LearnedSqlGen, TrainPhase) {
     let cfg = harness_gen_config(seed)
-        .with_threads(threads)
         .with_batch_size(batch)
         .with_refine(refine);
     let mut g = LearnedSqlGen::new(db, constraint, cfg);
@@ -73,7 +68,6 @@ fn run_train(
     g.train(episodes);
     let seconds = start.elapsed().as_secs_f64();
     let phase = TrainPhase {
-        threads,
         batch,
         hardware_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
         seconds,
@@ -89,10 +83,9 @@ fn run_train(
 
 fn phase_json(p: &TrainPhase) -> String {
     format!(
-        "{{\"threads\": {}, \"batch\": {}, \"hardware_threads\": {}, \"seconds\": {:.3}, \
+        "{{\"batch\": {}, \"hardware_threads\": {}, \"seconds\": {:.3}, \
          \"episodes_per_sec\": {:.2}, \"tokens_per_sec\": {:.1}, \
          \"step_latency_p50_us\": {:.2}, \"step_latency_p95_us\": {:.2}}}",
-        p.threads,
         p.batch,
         p.hardware_threads,
         p.seconds,
@@ -224,18 +217,8 @@ fn main() {
     sqlgen_obs::enable_metrics();
 
     let hw_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let par = if args.threads > 1 { args.threads } else { 4 };
-    let note = if hw_threads < par {
-        format!(
-            "machine exposes {hw_threads} hardware thread(s); the threads={par} phase \
-             exercises the parallel code path but cannot show real speedup here"
-        )
-    } else {
-        String::new()
-    };
-
     sqlgen_obs::obs_info!(
-        "[throughput] tpch scale={} seed={} train={} n={} threads=1 vs {par} (hw={hw_threads})",
+        "[throughput] tpch scale={} seed={} train={} n={} (hw={hw_threads})",
         args.scale,
         args.seed,
         args.train,
@@ -246,25 +229,14 @@ fn main() {
     let hist = sqlgen_obs::metrics::global().histogram("rl.step.latency_us");
 
     // --- training phases ---------------------------------------------------
-    let (mut warm, serial) = run_train(&db, constraint, args.seed, args.train, 1, 1, refine, &hist);
+    let (mut warm, serial) = run_train(&db, constraint, args.seed, args.train, 1, refine, &hist);
     sqlgen_obs::obs_info!(
-        "[throughput] train threads=1: {:.1} eps/s, {:.0} tok/s, step p50 {:.1}us p95 {:.1}us",
+        "[throughput] train serial: {:.1} eps/s, {:.0} tok/s, step p50 {:.1}us p95 {:.1}us",
         serial.episodes_per_sec,
         serial.tokens_per_sec,
         serial.step_p50_us,
         serial.step_p95_us
     );
-    let (_, parallel) = run_train(
-        &db, constraint, args.seed, args.train, par, 1, refine, &hist,
-    );
-    sqlgen_obs::obs_info!(
-        "[throughput] train threads={par}: {:.1} eps/s, {:.0} tok/s, step p50 {:.1}us p95 {:.1}us",
-        parallel.episodes_per_sec,
-        parallel.tokens_per_sec,
-        parallel.step_p50_us,
-        parallel.step_p95_us
-    );
-    let speedup = parallel.episodes_per_sec / serial.episodes_per_sec;
 
     // Lane-batched training sweep (batched BPTT, single thread). `--batch B`
     // narrows it for the CI smoke run.
@@ -275,7 +247,7 @@ fn main() {
     };
     let mut batched_phases = Vec::with_capacity(train_sweep.len());
     for &bs in &train_sweep {
-        let (_, p) = run_train(&db, constraint, args.seed, args.train, 1, bs, refine, &hist);
+        let (_, p) = run_train(&db, constraint, args.seed, args.train, bs, refine, &hist);
         sqlgen_obs::obs_info!(
             "[throughput] train batch={bs}: {:.1} eps/s, {:.0} tok/s, step p50 {:.1}us p95 {:.1}us",
             p.episodes_per_sec,
@@ -302,17 +274,16 @@ fn main() {
     let _ = writeln!(train_json, "  \"seed\": {},", args.seed);
     let _ = writeln!(train_json, "  \"train_episodes\": {},", args.train);
     let _ = writeln!(train_json, "  \"hardware_threads\": {hw_threads},");
-    let _ = writeln!(train_json, "  \"note\": {},", json_str(&note));
     let _ = writeln!(
         train_json,
         "  \"inference_batching\": {},",
         json_str(
             "batched GEMM lanes apply to the inference path; see \
-             BENCH_generate.json batch_sweep. Training rollouts use --threads \
-             or --batch (lane-batched BPTT, one accumulated step per round)."
+             BENCH_generate.json batch_sweep. Training rollouts use --batch \
+             (lane-batched BPTT, one accumulated step per round)."
         )
     );
-    let mut phase_rows: Vec<String> = vec![phase_json(&serial), phase_json(&parallel)];
+    let mut phase_rows: Vec<String> = vec![phase_json(&serial)];
     phase_rows.extend(batched_phases.iter().map(phase_json));
     let indented: Vec<String> = phase_rows.iter().map(|r| format!("    {r}")).collect();
     let _ = writeln!(
@@ -320,7 +291,6 @@ fn main() {
         "  \"phases\": [\n{}\n  ],",
         indented.join(",\n")
     );
-    let _ = writeln!(train_json, "  \"speedup_vs_serial\": {speedup:.2},");
     let _ = writeln!(
         train_json,
         "  \"batched_train_speedup_vs_serial\": {{\"batch\": {}, \"vs_batch_1\": {:.2}}}",

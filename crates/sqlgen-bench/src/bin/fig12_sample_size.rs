@@ -72,8 +72,7 @@ fn main() {
             let mut time = 0.0;
             for s in 0..SEEDS {
                 let start = Instant::now();
-                let mut cfg =
-                    harness_gen_config(bed.seed ^ (s * 0x9e37)).with_threads(args.threads);
+                let mut cfg = harness_gen_config(bed.seed ^ (s * 0x9e37));
                 cfg.sample = SampleConfig {
                     k,
                     ..Default::default()

@@ -1,7 +1,7 @@
 //! Figure 4: generation accuracy under **cardinality** constraints.
 //!
 //! Paper setup: N = 1000 queries per cell, point constraints
-//! {10², 10⁴, 10⁶, 10⁸} and range constraints {[1k,2k] ... [1k,8k]}, on
+//! {10², 10⁴, 10⁶, 10⁸} and range constraints {\[1k,2k\] ... \[1k,8k\]}, on
 //! TPC-H, JOB and XueTang, comparing SQLSmith / Template / LearnedSQLGen.
 
 use sqlgen_bench::methods::{learned_accuracy, random_accuracy, template_accuracy};
@@ -64,7 +64,7 @@ fn main() {
             sqlgen_obs::obs_info!("[fig4] {} / {label}", benchmark.name());
             let rnd = random_accuracy(&bed, constraint, args.n);
             let tpl = template_accuracy(&bed, constraint, args.n);
-            let lrn = learned_accuracy(&bed, constraint, args.train, args.n, args.threads);
+            let lrn = learned_accuracy(&bed, constraint, args.train, args.n);
             table.row(vec![
                 benchmark.name().to_string(),
                 label,

@@ -11,9 +11,9 @@
 //!
 //! The header lets loaders reject future formats with a typed
 //! [`CheckpointError::UnsupportedVersion`] instead of a serde panic, and
-//! lets tools identify checkpoint files cheaply (read one line). Payloads
-//! without a header are parsed as the legacy bare-`ActorNet` JSON emitted
-//! by `save_actor` before this format existed.
+//! lets tools identify checkpoint files cheaply (read one line). Input
+//! without the header — including bare `ActorNet` JSON — is rejected with
+//! [`CheckpointError::BadMagic`].
 //!
 //! [`write_atomic`] publishes checkpoints via tmp-file + `rename` so a
 //! concurrently-scanning model registry never observes a torn file.
@@ -32,7 +32,7 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 /// panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointError {
-    /// Neither a versioned checkpoint header nor legacy actor JSON.
+    /// The input does not start with the versioned checkpoint header.
     BadMagic,
     /// Header is well-formed but names a version this build cannot read.
     UnsupportedVersion { found: u32, supported: u32 },
@@ -49,7 +49,7 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::BadMagic => {
-                write!(f, "not a checkpoint: missing `{CHECKPOINT_MAGIC}` header and not legacy actor JSON")
+                write!(f, "not a checkpoint: missing `{CHECKPOINT_MAGIC}` header")
             }
             CheckpointError::UnsupportedVersion { found, supported } => {
                 write!(f, "checkpoint format v{found} is newer than supported v{supported}")
@@ -74,10 +74,10 @@ impl From<std::io::Error> for CheckpointError {
 }
 
 /// Configuration block stored alongside the weights. Optional fields are
-/// `None` for checkpoints upgraded from the legacy bare-actor format.
+/// `None` when the writer did not record them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CheckpointMeta {
-    /// `"actor-critic"`, `"reinforce"`, or `"legacy"` for upgraded files.
+    /// `"actor-critic"` or `"reinforce"`.
     pub algorithm: String,
     /// Action-space size the networks were trained over; validated against
     /// the loader's vocabulary.
@@ -97,28 +97,14 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Wraps a legacy bare actor (no critic, no recorded config).
-    pub fn legacy(actor: ActorNet) -> Self {
-        Checkpoint {
-            config: CheckpointMeta {
-                algorithm: "legacy".to_string(),
-                vocab_size: actor.vocab_size,
-                net: None,
-                constraint: None,
-            },
-            actor,
-            critic: None,
-        }
-    }
-
     /// Serializes to the on-disk format (header line + JSON payload).
     pub fn render(&self) -> String {
         let payload = serde_json::to_string(self).expect("checkpoint serializes");
         format!("{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n{payload}\n")
     }
 
-    /// Parses either a versioned checkpoint or legacy bare-actor JSON.
-    /// Weight buffers are restored; the result is ready to run.
+    /// Parses a versioned checkpoint. Weight buffers are restored; the
+    /// result is ready to run.
     pub fn parse(text: &str) -> Result<Checkpoint, CheckpointError> {
         let mut ckpt = Self::parse_raw(text)?;
         ckpt.actor.restore_buffers();
@@ -159,11 +145,7 @@ impl Checkpoint {
     fn parse_raw(text: &str) -> Result<Checkpoint, CheckpointError> {
         let trimmed = text.trim_start();
         if !trimmed.starts_with(CHECKPOINT_MAGIC) {
-            // Legacy fallback: `save_actor` used to emit the bare ActorNet
-            // JSON with no header.
-            let actor: ActorNet =
-                serde_json::from_str(text).map_err(|_| CheckpointError::BadMagic)?;
-            return Ok(Checkpoint::legacy(actor));
+            return Err(CheckpointError::BadMagic);
         }
         let (header, payload) = trimmed
             .split_once('\n')
@@ -205,36 +187,34 @@ mod tests {
     use super::*;
     use sqlgen_rl::NetConfig;
 
+    const NET: NetConfig = NetConfig {
+        embed_dim: 4,
+        hidden: 4,
+        layers: 1,
+        dropout: 0.0,
+    };
+
     fn small_actor(vocab: usize) -> ActorNet {
-        ActorNet::new(
-            vocab,
-            &NetConfig {
-                embed_dim: 4,
-                hidden: 4,
-                layers: 1,
-                dropout: 0.0,
+        ActorNet::new(vocab, &NET, 7)
+    }
+
+    /// A versioned actor-only checkpoint over a `vocab`-sized action space.
+    fn small_ckpt(vocab: usize) -> Checkpoint {
+        Checkpoint {
+            config: CheckpointMeta {
+                algorithm: "actor-critic".to_string(),
+                vocab_size: vocab,
+                net: Some(NET),
+                constraint: Some(Constraint::cardinality_range(1.0, 5.0)),
             },
-            7,
-        )
+            actor: small_actor(vocab),
+            critic: None,
+        }
     }
 
     #[test]
     fn roundtrip_preserves_weights_and_meta() {
-        let ckpt = Checkpoint {
-            config: CheckpointMeta {
-                algorithm: "actor-critic".to_string(),
-                vocab_size: 11,
-                net: Some(NetConfig {
-                    embed_dim: 4,
-                    hidden: 4,
-                    layers: 1,
-                    dropout: 0.0,
-                }),
-                constraint: Some(Constraint::cardinality_range(1.0, 5.0)),
-            },
-            actor: small_actor(11),
-            critic: None,
-        };
+        let ckpt = small_ckpt(11);
         let text = ckpt.render();
         assert!(text.starts_with("sqlgen-checkpoint v1\n"));
         let back = Checkpoint::parse(&text).unwrap();
@@ -250,13 +230,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_actor_json_still_loads() {
-        let actor = small_actor(9);
-        let legacy = serde_json::to_string(&actor).unwrap();
-        let ckpt = Checkpoint::parse(&legacy).unwrap();
-        assert_eq!(ckpt.config.algorithm, "legacy");
-        assert_eq!(ckpt.actor.vocab_size, 9);
-        assert!(ckpt.critic.is_none());
+    fn bare_actor_json_is_rejected_as_bad_magic() {
+        let bare = serde_json::to_string(&small_actor(9)).unwrap();
+        assert_eq!(
+            Checkpoint::parse(&bare).unwrap_err(),
+            CheckpointError::BadMagic
+        );
+        assert_eq!(
+            Checkpoint::parse_for_vocab(&bare, 9).unwrap_err(),
+            CheckpointError::BadMagic
+        );
     }
 
     #[test]
@@ -293,7 +276,7 @@ mod tests {
 
     #[test]
     fn quantize_at_load_roundtrips_through_the_wire_format() {
-        let ckpt = Checkpoint::legacy(small_actor(9));
+        let ckpt = small_ckpt(9);
         let back = Checkpoint::parse(&ckpt.render()).unwrap();
         let q = back.quantized_actor();
         assert_eq!(q.vocab_size, 9);
@@ -305,7 +288,7 @@ mod tests {
 
     #[test]
     fn vocab_validation_rejects_mismatched_checkpoints() {
-        let text = Checkpoint::legacy(small_actor(9)).render();
+        let text = small_ckpt(9).render();
         let err = Checkpoint::parse_for_vocab(&text, 13).unwrap_err();
         assert_eq!(
             err,

@@ -235,9 +235,8 @@ impl LearnedSqlGen {
     ///
     /// With `config.batch_size > 1` rollouts advance in lockstep GEMM
     /// lanes and updates use batched BPTT with one accumulated gradient
-    /// step per round of `batch_size` episodes. Otherwise rollouts are
-    /// collected with `config.threads` workers (1 = the exact serial
-    /// sequence) and updates are applied serially in episode order.
+    /// step per round of `batch_size` episodes. Otherwise this is the
+    /// exact serial sequence, one update per episode.
     pub fn train(&mut self, episodes: usize) -> &TrainStats {
         let _span = sqlgen_obs::obs_span!("gen.train");
         let started = std::time::Instant::now();
@@ -253,13 +252,10 @@ impl LearnedSqlGen {
             &self.cache,
             self.exec_db.as_deref(),
         );
-        let threads = self.config.threads.max(1);
         let batch = self.config.batch_size.max(1);
         let eps = match &mut self.trainer {
-            Trainer::Reinforce(t) if batch > 1 => t.train_batched(&env, episodes, batch),
-            Trainer::ActorCritic(t) if batch > 1 => t.train_batched(&env, episodes, batch),
-            Trainer::Reinforce(t) => t.train_batch(&env, episodes, threads),
-            Trainer::ActorCritic(t) => t.train_batch(&env, episodes, threads),
+            Trainer::Reinforce(t) => t.train_batched(&env, episodes, batch),
+            Trainer::ActorCritic(t) => t.train_batched(&env, episodes, batch),
         };
         for ep in &eps {
             reward_sum += ep.total_reward() as f64;
@@ -304,16 +300,8 @@ impl LearnedSqlGen {
             &self.cache,
             self.exec_db.as_deref(),
         );
-        let threads = self.config.threads.max(1);
         let batch = self.config.batch_size.max(1);
-        let mut eps = roll_episodes(
-            &mut self.trainer,
-            self.quant.as_ref(),
-            &env,
-            n,
-            batch,
-            threads,
-        );
+        let mut eps = roll_episodes(&mut self.trainer, self.quant.as_ref(), &env, n, batch);
         let mut tokens: usize = eps.iter().map(Episode::len).sum();
         if self.refiner.enabled() {
             // Post-EOS repair: token streams above are untouched, only the
@@ -339,14 +327,8 @@ impl LearnedSqlGen {
                 }
                 let draws = missing.len().max(batch);
                 sqlgen_obs::obs_count!("refine.resampled", draws as u64);
-                let fresh = roll_episodes(
-                    &mut self.trainer,
-                    self.quant.as_ref(),
-                    &env,
-                    draws,
-                    batch,
-                    threads,
-                );
+                let fresh =
+                    roll_episodes(&mut self.trainer, self.quant.as_ref(), &env, draws, batch);
                 let mut slots = missing.into_iter();
                 let mut slot = slots.next();
                 for mut ep in fresh {
@@ -381,10 +363,9 @@ impl LearnedSqlGen {
     ) -> (Vec<GeneratedQuery>, usize) {
         let mut out = Vec::with_capacity(n);
         let mut attempts = 0;
-        // Attempts proceed a chunk at a time: one per worker thread or one
-        // per lockstep lane, whichever engine is wider (still within the
-        // budget); threads = batch_size = 1 reproduces the serial loop.
-        let chunk = self.config.threads.max(self.config.batch_size).max(1);
+        // Attempts proceed one lockstep lane width at a time (still within
+        // the budget); batch_size = 1 reproduces the serial loop.
+        let chunk = self.config.batch_size.max(1);
         while out.len() < n && attempts < max_attempts {
             let batch = chunk.min(max_attempts - attempts);
             attempts += batch;
@@ -410,16 +391,8 @@ impl LearnedSqlGen {
             &self.cache,
             self.exec_db.as_deref(),
         );
-        let threads = self.config.threads.max(1);
         let batch = self.config.batch_size.max(1);
-        let eps = roll_episodes(
-            &mut self.trainer,
-            self.quant.as_ref(),
-            &env,
-            n,
-            batch,
-            threads,
-        );
+        let eps = roll_episodes(&mut self.trainer, self.quant.as_ref(), &env, n, batch);
         eps.iter().filter(|e| e.satisfied).count() as f64 / n.max(1) as f64
     }
 
@@ -429,8 +402,8 @@ impl LearnedSqlGen {
     }
 
     /// Generates `n` queries whose token streams are a pure function of
-    /// `(weights, constraint, seed)` — independent of `batch_size`, of
-    /// threads, and of anything else running in the process. Query `j` uses
+    /// `(weights, constraint, seed)` — independent of `batch_size` and of
+    /// anything else running in the process. Query `j` uses
     /// the per-job seed [`worker_seed`]`(seed, j)`, so the result is also
     /// what a server coalescing this request with others must return.
     pub fn generate_seeded(&self, n: usize, seed: u64) -> Vec<GeneratedQuery> {
@@ -605,11 +578,11 @@ impl LearnedSqlGen {
         crate::checkpoint::write_atomic(path, &self.save_checkpoint())
     }
 
-    /// Restores the policy from [`LearnedSqlGen::save_checkpoint`] output
-    /// (or legacy [`LearnedSqlGen::save_actor`] JSON). Validates that the
-    /// checkpoint's action space matches this generator's vocabulary and
-    /// returns a typed error otherwise; on success installs the actor and —
-    /// when both sides have one — the critic.
+    /// Restores the policy from [`LearnedSqlGen::save_checkpoint`] output.
+    /// Validates that the checkpoint's action space matches this
+    /// generator's vocabulary and returns a typed error otherwise; on
+    /// success installs the actor and — when both sides have one — the
+    /// critic.
     pub fn load_checkpoint(&mut self, text: &str) -> Result<(), CheckpointError> {
         let ckpt = Checkpoint::parse_for_vocab(text, self.vocab.size())?;
         match &mut self.trainer {
@@ -624,40 +597,18 @@ impl LearnedSqlGen {
         self.refresh_quant();
         Ok(())
     }
-
-    /// Serializes the trained actor to bare JSON (the legacy, headerless
-    /// checkpoint format; kept for compatibility). Prefer
-    /// [`LearnedSqlGen::save_checkpoint`], which also carries the critic
-    /// and config.
-    pub fn save_actor(&self) -> String {
-        let actor = match &self.trainer {
-            Trainer::Reinforce(t) => &t.actor,
-            Trainer::ActorCritic(t) => &t.actor,
-        };
-        serde_json::to_string(actor).expect("actor serializes")
-    }
-
-    /// Restores actor weights from either checkpoint format. Alias of
-    /// [`LearnedSqlGen::load_checkpoint`]; unlike the pre-versioned
-    /// implementation this validates the vocabulary size instead of
-    /// silently installing a mismatched policy.
-    pub fn load_actor(&mut self, text: &str) -> Result<(), CheckpointError> {
-        self.load_checkpoint(text)
-    }
 }
 
 /// Draws `n` raw policy samples from the trainer's RNG stream. With a
 /// quantized snapshot all generation runs through the lockstep engine on
 /// the int8 actor. Otherwise `batch > 1` selects the lockstep GEMM engine
-/// on f32 (threads cannot help on a single core; lanes can), and
-/// `batch = 1` preserves the legacy serial/threaded paths bit-for-bit.
+/// on f32, and `batch = 1` preserves the legacy serial path bit-for-bit.
 fn roll_episodes(
     trainer: &mut Trainer,
     quant: Option<&QuantizedActor>,
     env: &SqlGenEnv,
     n: usize,
     batch: usize,
-    threads: usize,
 ) -> Vec<Episode> {
     if let Some(q) = quant {
         match trainer {
@@ -666,10 +617,8 @@ fn roll_episodes(
         }
     } else {
         match trainer {
-            Trainer::Reinforce(t) if batch > 1 => t.generate_batched(env, n, batch),
-            Trainer::ActorCritic(t) if batch > 1 => t.generate_batched(env, n, batch),
-            Trainer::Reinforce(t) => t.generate_batch(env, n, threads),
-            Trainer::ActorCritic(t) => t.generate_batch(env, n, threads),
+            Trainer::Reinforce(t) => t.generate_batched(env, n, batch),
+            Trainer::ActorCritic(t) => t.generate_batched(env, n, batch),
         }
     }
 }
@@ -718,22 +667,6 @@ mod tests {
             &db,
             Constraint::cardinality_range(1.0, 100_000.0),
             GenConfig::fast(),
-        );
-        g.train(50);
-        for q in g.generate(20) {
-            sqlgen_engine::validate(&db, &q.statement).unwrap();
-            let reparsed = sqlgen_engine::parse(&q.sql).unwrap();
-            assert_eq!(render(&reparsed), q.sql);
-        }
-    }
-
-    #[test]
-    fn generated_queries_are_valid_sql_with_threads() {
-        let db = tpch_database(0.2, 21);
-        let mut g = LearnedSqlGen::new(
-            &db,
-            Constraint::cardinality_range(1.0, 100_000.0),
-            GenConfig::fast().with_threads(4),
         );
         g.train(50);
         for q in g.generate(20) {
@@ -833,11 +766,11 @@ mod tests {
         let constraint = Constraint::cardinality_range(10.0, 10_000.0);
         let mut g = quick_gen(constraint);
         g.train(100);
-        let ckpt = g.save_actor();
+        let ckpt = g.save_checkpoint();
         let acc_before = g.accuracy(30);
 
         let mut fresh = quick_gen(constraint);
-        fresh.load_actor(&ckpt).unwrap();
+        fresh.load_checkpoint(&ckpt).unwrap();
         let acc_after = fresh.accuracy(30);
         // Same weights, same (seeded) generation stream → similar accuracy.
         assert!(
@@ -889,9 +822,10 @@ mod tests {
             matches!(err, CheckpointError::VocabMismatch { .. }),
             "want VocabMismatch, got {err:?}"
         );
-        // The legacy headerless format is validated too.
-        let err = target.load_actor(&other.save_actor()).unwrap_err();
-        assert!(matches!(err, CheckpointError::VocabMismatch { .. }));
+        // Bare actor JSON (no versioned header) is not a checkpoint.
+        let bare = serde_json::to_string(&other.checkpoint().actor).unwrap();
+        let err = target.load_checkpoint(&bare).unwrap_err();
+        assert_eq!(err, CheckpointError::BadMagic);
     }
 
     #[test]

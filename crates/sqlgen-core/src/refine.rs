@@ -18,14 +18,14 @@
 //!    cardinality) while preserving the FROM invariant that every join's
 //!    left side references an earlier table.
 //!
-//! Each candidate is scored with [`Constraint::reward`] on the shared
-//! estimator (memoized via `EstimatorCache`); the search accepts the first
-//! candidate *inside* the constraint, otherwise takes the best strictly
-//! improving candidate and iterates. Accepted steps therefore have strictly
-//! increasing reward — the estimator score moves monotonically toward the
-//! constraint interval, the invariant the `refine-validity` fuzz family
-//! checks. A hard budget caps estimator evaluations; past it callers fall
-//! back to resampling.
+//! Each candidate is scored with [`sqlgen_rl::Constraint::reward`] on the
+//! shared estimator (memoized via `EstimatorCache`); the search accepts the
+//! first candidate *inside* the constraint, otherwise takes the best
+//! strictly improving candidate and iterates. Accepted steps therefore have
+//! strictly increasing reward — the estimator score moves monotonically
+//! toward the constraint interval, the invariant the `refine-validity` fuzz
+//! family checks. A hard budget caps estimator evaluations; past it callers
+//! fall back to resampling.
 //!
 //! **Determinism.** The search draws no randomness: move enumeration is a
 //! pure function of the statement and the vocabulary (tiers in fixed

@@ -5,13 +5,13 @@
 //! executes them. This crate provides all of that:
 //!
 //! * [`ast`] — the SQL subset of the paper's Table 1 grammar,
-//! * [`render`] — canonical SQL text rendering,
-//! * [`parse`] — a round-tripping recursive-descent parser,
+//! * [`mod@render`] — canonical SQL text rendering,
+//! * [`mod@parse`] — a round-tripping recursive-descent parser,
 //! * [`exec`] — a hash-join executor (ground truth),
 //! * [`card`] — a System-R-style cardinality estimator (the reward oracle),
 //! * [`cost`] — a PostgreSQL-flavoured cost model,
 //! * [`plan`] — EXPLAIN-style annotated logical plans,
-//! * [`validate`] — independent semantic checking.
+//! * [`mod@validate`] — independent semantic checking.
 
 pub mod ast;
 pub mod card;

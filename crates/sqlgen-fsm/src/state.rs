@@ -10,7 +10,7 @@
 //! items → Where → predicates → GroupBy/Having → EOF`; the renderer reorders
 //! clauses into textual SQL.
 //!
-//! Nested subqueries push a new [`Frame`] on a stack (`OpenSub`/`CloseSub`
+//! Nested subqueries push a new `Frame` on a stack (`OpenSub`/`CloseSub`
 //! tokens), so the machine is technically a pushdown automaton — exactly
 //! what "ideally, subqueries can be generated recursively" (§5 case 2)
 //! requires.

@@ -10,7 +10,6 @@ use crate::episode::{run_episode_infer, run_episode_into, Episode, InferRollout,
 use crate::nets::{
     ActorNet, ActorStep, CriticNet, CriticStep, NetGradsBatch, NetScratch, QuantizedActor,
 };
-use crate::parallel::collect_episodes;
 use crate::reinforce::TrainConfig;
 use crate::train_batch::TrainRollout;
 use rand::rngs::StdRng;
@@ -170,36 +169,6 @@ impl ActorCritic {
         ep
     }
 
-    /// Trains on `episodes` episodes, collecting rollouts with `threads`
-    /// parallel workers and applying both networks' updates serially in
-    /// episode order. `threads <= 1` runs the exact single-threaded path
-    /// (bit-identical to [`ActorCritic::train_episode`] in a loop).
-    pub fn train_batch(
-        &mut self,
-        env: &SqlGenEnv,
-        episodes: usize,
-        threads: usize,
-    ) -> Vec<Episode> {
-        if threads <= 1 {
-            return (0..episodes).map(|_| self.train_episode(env)).collect();
-        }
-        let mut out = Vec::with_capacity(episodes);
-        let mut remaining = episodes;
-        while remaining > 0 {
-            // One round = one episode per worker, bounding policy staleness
-            // at `threads` episodes.
-            let batch = remaining.min(threads);
-            let base: u64 = self.rng.random();
-            for mut ep in collect_episodes(&self.actor, env, batch, true, batch, base) {
-                self.apply_update(&ep.steps, &ep.rewards);
-                ep.steps = Vec::new();
-                out.push(ep);
-            }
-            remaining -= batch;
-        }
-        out
-    }
-
     /// Trains on `episodes` episodes with up to `batch` lockstep GEMM
     /// lanes — both networks' forwards and backwards run lane-batched.
     ///
@@ -230,7 +199,7 @@ impl ActorCritic {
         let mut remaining = episodes;
         while remaining > 0 {
             // One round = one episode per lane, bounding policy staleness
-            // at `batch` episodes (matching the threaded path).
+            // at `batch` episodes.
             let b = remaining.min(batch);
             let base: u64 = self.rng.random();
             let eps = ro.collect(&self.actor, env, b, base);
@@ -287,17 +256,6 @@ impl ActorCritic {
     /// Inference: generate a query with the trained policy.
     pub fn generate(&mut self, env: &SqlGenEnv) -> Episode {
         run_episode_infer(&self.actor, env, &mut self.rng, &mut self.infer)
-    }
-
-    /// Generates `n` queries with `threads` parallel workers (no updates).
-    /// `threads <= 1` matches [`ActorCritic::generate`] in a loop
-    /// bit-for-bit.
-    pub fn generate_batch(&mut self, env: &SqlGenEnv, n: usize, threads: usize) -> Vec<Episode> {
-        if threads <= 1 {
-            return (0..n).map(|_| self.generate(env)).collect();
-        }
-        let base: u64 = self.rng.random();
-        collect_episodes(&self.actor, env, n, false, threads, base)
     }
 
     /// Generates `n` queries with `batch` lockstep GEMM lanes (no updates).

@@ -1,21 +1,18 @@
 //! Batched lockstep rollout collection with continuous lane refill.
 //!
 //! Single-stream inference re-reads the full weight matrices once per token
-//! (memory-bandwidth bound), and the threaded path cannot help on a
-//! single-core host. The batched engine instead advances `B` independent
-//! rollouts ("lanes") one token per lockstep iteration: each weight block
-//! is read once per iteration and amortized across all lanes via the
-//! matrix-matrix kernels in `sqlgen-nn`, raising arithmetic intensity even
-//! on one core.
+//! (memory-bandwidth bound). The batched engine instead advances `B`
+//! independent rollouts ("lanes") one token per lockstep iteration: each
+//! weight block is read once per iteration and amortized across all lanes
+//! via the matrix-matrix kernels in `sqlgen-nn`, raising arithmetic
+//! intensity even on one core.
 //!
-//! Lane ownership mirrors the threaded worker model of [`crate::parallel`]:
-//! lane `l` owns its FSM [`GenState`], its [`RewardShaper`], and the RNG
+//! Lane `l` owns its FSM [`GenState`], its [`RewardShaper`], and the RNG
 //! stream seeded [`worker_seed`]`(base, l)`. When a lane emits `EOF` its
 //! finished query is flushed and the lane immediately restarts on the next
 //! pending job — **continuous refill** — so short queries never stall the
-//! batch. A refilled lane keeps its RNG stream running (exactly like a
-//! worker collecting its next episode), which yields the determinism
-//! contract:
+//! batch. A refilled lane keeps its RNG stream running, which yields the
+//! determinism contract:
 //!
 //! * every lane's token stream is bit-identical to a serial
 //!   [`run_episode_infer`](crate::episode::run_episode_infer) loop over
@@ -30,13 +27,18 @@
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::episode::{finish_episode, Episode};
 use crate::nets::{BatchScratch, InferActor};
-use crate::parallel::worker_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqlgen_fsm::GenState;
 use sqlgen_nn::LstmBatchState;
 use sqlgen_obs::TraceHandle;
 use std::time::Instant;
+
+/// The RNG seed for worker `w` of a batch drawn with base seed `base`.
+#[inline]
+pub fn worker_seed(base: u64, worker: usize) -> u64 {
+    base ^ worker as u64
+}
 
 /// Elapsed microseconds since `t0`.
 fn us_since(t0: Instant) -> f64 {
@@ -518,8 +520,7 @@ pub fn run_jobs_batched<'e, 'v: 'e, A: InferActor>(
 }
 
 /// Collects `n` inference episodes with `batch` lockstep lanes (see
-/// [`BatchRollout`]). Convenience entry point mirroring
-/// [`collect_episodes`](crate::parallel::collect_episodes).
+/// [`BatchRollout`]).
 pub fn collect_episodes_batched<A: InferActor>(
     actor: &A,
     env: &SqlGenEnv,

@@ -1,7 +1,7 @@
 //! Reinforcement learning for LearnedSQLGen (paper §4 and §6).
 //!
 //! * [`constraint`] — cardinality/cost constraints and the §4.2 rewards,
-//! * [`env`] — the database environment (FSM masking + estimator rewards),
+//! * [`mod@env`] — the database environment (FSM masking + estimator rewards),
 //! * [`cache`] — LRU memo cache for estimator reward lookups,
 //! * [`nets`] — actor (policy) and critic (value) LSTM networks,
 //! * [`episode`] — rollout machinery shared by all trainers,
@@ -22,13 +22,14 @@ pub mod env;
 pub mod episode;
 pub mod meta_critic;
 pub mod nets;
-pub mod parallel;
 pub mod reinforce;
 pub mod train_batch;
 
 pub use ac_extend::AcExtend;
 pub use actor_critic::ActorCritic;
-pub use batch::{collect_episodes_batched, run_jobs_batched, BatchRollout, Job, JobOutcome};
+pub use batch::{
+    collect_episodes_batched, run_jobs_batched, worker_seed, BatchRollout, Job, JobOutcome,
+};
 pub use cache::{EstimatorCache, DEFAULT_ESTIMATOR_CACHE_CAPACITY};
 pub use constraint::{Constraint, Metric, Target, POINT_TOLERANCE};
 pub use env::{ExecBudget, ExecDb, ExecStats, RewardMode, RewardShaper, RewardSource, SqlGenEnv};
@@ -41,6 +42,5 @@ pub use nets::{
     ActorNet, ActorStep, BatchScratch, CriticNet, CriticStep, InferActor, NetConfig, NetGradsBatch,
     NetScratch, QuantizedActor,
 };
-pub use parallel::{collect_episodes, worker_seed};
 pub use reinforce::{Reinforce, TrainConfig};
 pub use train_batch::TrainRollout;

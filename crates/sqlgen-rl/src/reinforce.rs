@@ -9,7 +9,6 @@ use crate::episode::{
     rewards_to_go_into, run_episode_infer, run_episode_into, Episode, InferRollout, Rollout,
 };
 use crate::nets::{ActorNet, ActorStep, NetConfig, NetGradsBatch, QuantizedActor};
-use crate::parallel::collect_episodes;
 use crate::train_batch::TrainRollout;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,36 +91,6 @@ impl Reinforce {
         ep
     }
 
-    /// Trains on `episodes` episodes, collecting rollouts with `threads`
-    /// parallel workers and applying updates serially in episode order.
-    /// `threads <= 1` runs the exact single-threaded path (bit-identical to
-    /// calling [`Reinforce::train_episode`] in a loop).
-    pub fn train_batch(
-        &mut self,
-        env: &SqlGenEnv,
-        episodes: usize,
-        threads: usize,
-    ) -> Vec<Episode> {
-        if threads <= 1 {
-            return (0..episodes).map(|_| self.train_episode(env)).collect();
-        }
-        let mut out = Vec::with_capacity(episodes);
-        let mut remaining = episodes;
-        while remaining > 0 {
-            // One round = one episode per worker, so rollouts never run
-            // more than `threads` episodes behind the policy they sample.
-            let batch = remaining.min(threads);
-            let base: u64 = self.rng.random();
-            for mut ep in collect_episodes(&self.actor, env, batch, true, batch, base) {
-                self.apply_update(&ep.steps, &ep.rewards);
-                ep.steps = Vec::new();
-                out.push(ep);
-            }
-            remaining -= batch;
-        }
-        out
-    }
-
     /// Trains on `episodes` episodes with up to `batch` lockstep GEMM
     /// lanes (batched BPTT with gradient accumulation).
     ///
@@ -131,9 +100,9 @@ impl Reinforce {
     /// arenas, reduces the arenas in ascending lane order, and applies
     /// **one** clipped Adam step for the whole round. `batch <= 1` is the
     /// exact legacy serial path; larger batches are reproducible per
-    /// `(seed, batch)` but — like `threads > 1` — a different
-    /// deterministic run than serial training (one accumulated update per
-    /// round instead of one per episode). See [`crate::train_batch`].
+    /// `(seed, batch)` but a different deterministic run than serial
+    /// training (one accumulated update per round instead of one per
+    /// episode). See [`crate::train_batch`].
     pub fn train_batched(
         &mut self,
         env: &SqlGenEnv,
@@ -150,7 +119,7 @@ impl Reinforce {
         let mut remaining = episodes;
         while remaining > 0 {
             // One round = one episode per lane, bounding policy staleness
-            // at `batch` episodes (matching the threaded path).
+            // at `batch` episodes.
             let b = remaining.min(batch);
             let base: u64 = self.rng.random();
             let eps = ro.collect(&self.actor, env, b, base);
@@ -183,16 +152,6 @@ impl Reinforce {
     /// Generates a query without updating the network (inference).
     pub fn generate(&mut self, env: &SqlGenEnv) -> Episode {
         run_episode_infer(&self.actor, env, &mut self.rng, &mut self.infer)
-    }
-
-    /// Generates `n` queries with `threads` parallel workers (no updates).
-    /// `threads <= 1` matches [`Reinforce::generate`] in a loop bit-for-bit.
-    pub fn generate_batch(&mut self, env: &SqlGenEnv, n: usize, threads: usize) -> Vec<Episode> {
-        if threads <= 1 {
-            return (0..n).map(|_| self.generate(env)).collect();
-        }
-        let base: u64 = self.rng.random();
-        collect_episodes(&self.actor, env, n, false, threads, base)
     }
 
     /// Generates `n` queries with `batch` lockstep GEMM lanes (no updates).

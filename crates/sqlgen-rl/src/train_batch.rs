@@ -20,15 +20,15 @@
 //!   that lane's episode alone; arenas reduce into `Param::grad` in
 //!   ascending lane order, so the summed gradient is deterministic;
 //! * a round applies one accumulated update instead of one update per
-//!   episode, so `batch > 1` training is — exactly like `threads > 1` — a
-//!   *different* (but per-`(seed, batch)` reproducible) run than serial
-//!   training. `batch <= 1` delegates to the legacy serial path upstream,
+//!   episode, so `batch > 1` training is a *different* (but
+//!   per-`(seed, batch)` reproducible) run than serial training.
+//!   `batch <= 1` delegates to the legacy serial path upstream,
 //!   bit-exactly.
 
+use crate::batch::worker_seed;
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::episode::{finish_episode, Episode};
 use crate::nets::{ActorNet, ActorStep, BatchScratch, CriticNet, CriticStep};
-use crate::parallel::worker_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqlgen_fsm::GenState;

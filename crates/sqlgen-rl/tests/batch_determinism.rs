@@ -91,12 +91,12 @@ fn facade_batch_one_is_bit_identical_to_legacy_generate() {
 
     let legacy: Vec<Vec<usize>> = {
         let mut ac = ActorCritic::new(vocab.size(), cfg());
-        ac.train_batch(&env, 10, 1);
+        ac.train_batched(&env, 10, 1);
         (0..6).map(|_| ac.generate(&env).actions).collect()
     };
     let batched: Vec<Vec<usize>> = {
         let mut ac = ActorCritic::new(vocab.size(), cfg());
-        ac.train_batch(&env, 10, 1);
+        ac.train_batched(&env, 10, 1);
         ac.generate_batched(&env, 6, 1)
             .into_iter()
             .map(|ep| ep.actions)
@@ -115,7 +115,7 @@ fn facade_batched_generation_is_reproducible() {
 
     let run = || {
         let mut ac = ActorCritic::new(vocab.size(), cfg());
-        ac.train_batch(&env, 10, 1);
+        ac.train_batched(&env, 10, 1);
         ac.generate_batched(&env, 13, 8)
             .into_iter()
             .map(|ep| ep.actions)

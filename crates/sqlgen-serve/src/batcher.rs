@@ -3,9 +3,10 @@
 //!
 //! The flow is `queue → window → lanes`:
 //!
-//! 1. HTTP workers push [`GenTask`]s onto the schema's bounded queue.
-//! 2. The batcher thread blocks for the first task, then keeps gathering
-//!    until either `max_wait` elapses or the window holds
+//! 1. The event loop admits [`GenTask`]s onto the bounded queue of the
+//!    shard that owns the request's `(schema, model-version)`.
+//! 2. The shard worker ([`crate::shard`]) blocks for the first task, then
+//!    keeps gathering until either `max_wait` elapses or the window holds
 //!    `max_batch_jobs` episode jobs — latency-bounded coalescing.
 //! 3. The window is expanded into per-episode [`sqlgen_rl::Job`]s (request
 //!    `i`, episode `j` → tag `i << 32 | j`, seed `worker_seed(req.seed, j)`)
@@ -17,7 +18,6 @@
 //! co-tenant requests share the window or how wide the batch is. That is
 //! the contract the `serve-equivalence` fuzz family checks.
 
-use crate::queue::BoundedQueue;
 use crate::registry::ModelRegistry;
 use sqlgen_core::{Algorithm, Constraint, GenConfig, Refiner, Target};
 use sqlgen_engine::{render, Estimator};
@@ -143,7 +143,7 @@ pub struct ServedQuery {
     pub satisfied: bool,
 }
 
-/// What the batcher sends back to the waiting HTTP worker.
+/// What a shard worker sends back for one request.
 #[derive(Debug, Clone)]
 pub struct RequestOutcome {
     pub queries: Vec<ServedQuery>,
@@ -154,10 +154,10 @@ pub struct RequestOutcome {
     pub model_version: u64,
 }
 
-/// Where a finished [`RequestOutcome`] goes: a blocking HTTP worker parked
-/// on a rendezvous channel (legacy pool), or an event-loop completion
-/// mailbox plus a wakeup (event backend). Either way delivery never
-/// blocks; a receiver that already gave up is skipped silently.
+/// Where a finished [`RequestOutcome`] goes: an in-process caller parked
+/// on a channel (tests), or an event-loop completion mailbox plus a
+/// wakeup. Either way delivery never blocks; a receiver that already gave
+/// up is skipped silently.
 pub enum Responder {
     Channel(mpsc::SyncSender<RequestOutcome>),
     #[cfg(target_os = "linux")]
@@ -182,21 +182,20 @@ pub struct GenTask {
     pub deadline: Option<Instant>,
     pub enqueued: Instant,
     pub reply: Responder,
-    /// Request trace the batcher attributes `queue_wait` / `batch_gather` /
+    /// Request trace the shard worker attributes `queue_wait` / `batch_gather` /
     /// `lane_exec` spans to (opened by the HTTP layer, `None` untraced).
     pub trace: Option<Arc<RequestTrace>>,
 }
 
 /// The generation-side bundle for one database: action space, statistics,
-/// FSM limits, model registry and admission queue. Everything the batcher
-/// needs; the HTTP layer only touches `queue` and `registry`.
+/// FSM limits, model registry and result cache. Everything a window
+/// needs; the HTTP layer only touches `registry` and `cache`.
 pub struct Schema {
     pub name: String,
     pub vocab: Vocabulary,
     pub estimator: Estimator,
     pub fsm: FsmConfig,
     pub registry: ModelRegistry,
-    pub queue: BoundedQueue<GenTask>,
     /// Constraint-miss refinement engine shared by every window on this
     /// schema (deterministic local search + miss cache; DESIGN.md §12).
     pub refiner: Refiner,
@@ -216,7 +215,6 @@ impl Schema {
         db: &Database,
         config: &GenConfig,
         model_dir: Option<PathBuf>,
-        queue_cap: usize,
     ) -> Schema {
         let vocab = Vocabulary::build(db, &config.sample);
         let estimator = Estimator::build(db);
@@ -244,7 +242,6 @@ impl Schema {
             estimator,
             fsm: config.fsm.clone(),
             registry,
-            queue: BoundedQueue::named(queue_cap, name),
             refiner: Refiner::new(config.refine.clone()),
             cache: crate::cache::ResultCache::new(64 * 1024 * 1024, 8, name),
         }
@@ -427,57 +424,11 @@ impl Default for BatcherConfig {
     }
 }
 
-/// The batcher thread body. Runs until the schema's queue is closed and
-/// drained; every admitted task gets a reply (receivers that already gave
-/// up are skipped silently).
-pub fn batch_loop(schema: &Schema, cfg: &BatcherConfig) {
-    loop {
-        let Some(first) = schema.queue.pop_timeout(Duration::from_millis(50)) else {
-            if schema.queue.is_closed() && schema.queue.is_empty() {
-                return;
-            }
-            continue;
-        };
-        // Each task remembers when it left the queue, so queue_wait and
-        // batch_gather split per task rather than at window granularity.
-        let mut tasks = vec![(first, Instant::now())];
-        let mut job_count = tasks[0].0.req.n;
-        // Coalesce whatever is already queued, but run the moment the
-        // queue drains: waiting out the rest of `max_wait` only adds
-        // latency at low load (the gather histogram used to pin at the
-        // full window), while under load windows still fill because
-        // arrivals accumulate behind the previous window's execution.
-        while job_count < cfg.max_batch_jobs {
-            match schema.queue.try_pop() {
-                Some(t) => {
-                    job_count += t.req.n;
-                    tasks.push((t, Instant::now()));
-                }
-                None => break,
-            }
-        }
-        run_window_tasks(schema, tasks, cfg);
-    }
-}
-
-/// Executes one gathered window: registry hot-swap (between windows, never
-/// mid-window; a swap invalidates the result cache), trace-span tiling,
-/// [`run_window`], and replies. Used by the legacy per-schema batcher
-/// thread; shard workers call [`run_window_tasks_with_model`] with their
-/// cached snapshot instead.
-pub fn run_window_tasks(schema: &Schema, tasks: Vec<(GenTask, Instant)>, cfg: &BatcherConfig) {
-    if let Ok(true) = schema.registry.refresh() {
-        schema.cache.clear();
-    }
-    let model = schema.registry.current();
-    run_window_tasks_with_model(schema, &model, tasks, cfg);
-}
-
-/// [`run_window_tasks`] with the model snapshot chosen by the caller. The
-/// shard loop resolves `model` once per `(schema, registry generation)`
-/// and reuses the `Arc` across windows, so steady-state windows skip the
-/// registry `RwLock` entirely. The caller owns the refresh/invalidations
-/// that `run_window_tasks` performs.
+/// Executes one gathered window on `model`: trace-span tiling,
+/// [`run_window`], and replies. The shard loop resolves `model` once per
+/// `(schema, registry generation)` and reuses the `Arc` across windows, so
+/// steady-state windows skip the registry `RwLock` entirely; it also owns
+/// the registry refresh and the cache invalidation a hot swap needs.
 pub fn run_window_tasks_with_model(
     schema: &Schema,
     model: &Arc<crate::registry::ServedModel>,
@@ -632,7 +583,7 @@ mod tests {
     #[test]
     fn window_results_are_independent_of_co_tenants_and_lanes() {
         let (db, config) = fixture();
-        let schema = Schema::build("t", &db, &config, None, 8);
+        let schema = Schema::build("t", &db, &config, None);
         let model = schema.registry.current();
         let a = WindowRequest {
             constraint: Constraint::cardinality_range(1.0, 500.0),
@@ -683,7 +634,7 @@ mod tests {
     #[test]
     fn refined_windows_remain_pure_functions_of_the_request() {
         let (db, config) = fixture();
-        let schema = Schema::build("t", &db, &config, None, 8);
+        let schema = Schema::build("t", &db, &config, None);
         assert!(schema.refiner.enabled());
         let model = schema.registry.current();
         // Tight band → the untrained policy misses often → refinement runs.
@@ -731,7 +682,7 @@ mod tests {
     #[test]
     fn quantized_schema_windows_run_on_the_int8_snapshot() {
         let (db, config) = fixture();
-        let schema = Schema::build("t", &db, &config.with_quantize(true), None, 8);
+        let schema = Schema::build("t", &db, &config.with_quantize(true), None);
         assert!(schema.registry.quantized());
         let model = schema.registry.current();
         let q = model.quant.as_ref().expect("quantized registry");
@@ -767,50 +718,5 @@ mod tests {
             assert_eq!(x.actions, y.actions);
             assert_eq!(x.measured.to_bits(), y.measured.to_bits());
         }
-    }
-
-    #[test]
-    fn batch_loop_replies_to_every_task_and_drains_on_close() {
-        let (db, config) = fixture();
-        let schema = std::sync::Arc::new(Schema::build("t", &db, &config, None, 16));
-        let cfg = BatcherConfig {
-            lanes: 4,
-            max_wait: Duration::from_millis(2),
-            max_batch_jobs: 8,
-        };
-        let mut rxs = Vec::new();
-        for seed in 0..5u64 {
-            let (tx, rx) = mpsc::sync_channel(1);
-            schema
-                .queue
-                .try_push(GenTask {
-                    req: GenRequest {
-                        schema: String::new(),
-                        constraint: Constraint::cardinality_range(1.0, 500.0),
-                        n: 2,
-                        seed,
-                        timeout_ms: None,
-                    },
-                    deadline: None,
-                    enqueued: Instant::now(),
-                    reply: Responder::Channel(tx),
-                    trace: None,
-                })
-                .map_err(|(e, _)| e)
-                .unwrap();
-            rxs.push(rx);
-        }
-        // Close before starting: the loop must still drain all queued work.
-        schema.queue.close();
-        let s = schema.clone();
-        let cfg2 = cfg.clone();
-        let worker = std::thread::spawn(move || batch_loop(&s, &cfg2));
-        for rx in rxs {
-            let out = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert_eq!(out.queries.len() + out.expired, 2);
-            assert_eq!(out.model_label, "builtin");
-        }
-        worker.join().unwrap();
-        assert!(schema.queue.is_empty());
     }
 }

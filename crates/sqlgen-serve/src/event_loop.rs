@@ -30,21 +30,22 @@
 //!   400/413 and close. A request that sits incomplete past the read
 //!   timeout is a slowloris: the sweep closes it regardless of how
 //!   diligently it trickles bytes.
-//! * **dispatch** — scrape endpoints answer inline; `/generate` first
-//!   consults the schema's result cache (a hit never touches a queue),
-//!   then routes to a shard by `(schema, model-version)`. One in-flight
-//!   generation per connection, so pipelined requests answer in order.
+//! * **dispatch** — `server::route` answers scrape endpoints inline;
+//!   `/generate` first consults the schema's result cache (a hit never
+//!   touches a queue), then routes to a shard by `(schema, model-version)`.
+//!   One in-flight generation per connection, so pipelined requests answer
+//!   in order.
 //! * **buffered write** — responses append to an out buffer flushed as
 //!   `EPOLLOUT` allows; a peer that stops reading hits the write-progress
 //!   deadline.
 
 #![cfg(target_os = "linux")]
 
-use crate::batcher::{BatcherConfig, GenRequest, GenTask, RequestOutcome, Responder, Schema};
-use crate::cache::CacheKey;
+use crate::batcher::{BatcherConfig, RequestOutcome, Responder};
 use crate::http::{parse_buf, write_response, BufParse, Response};
-use crate::queue::PushError;
-use crate::server::{endpoint_label, finalize_response, outcome_json, route, ServerState};
+use crate::server::{
+    complete_generate, endpoint_label, finalize_response, route, Admitted, Routed, ServerState,
+};
 use crate::shard::ShardPool;
 use crate::sys::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use sqlgen_obs::{RequestTrace, TraceContext};
@@ -105,21 +106,23 @@ impl EventReply {
 /// Thread bundle returned by [`start`]; joined by
 /// [`crate::server::ServerHandle::shutdown`].
 pub(crate) struct EventBackend {
+    accept_stop: Arc<AtomicBool>,
     accept: JoinHandle<()>,
     loops: Vec<Arc<LoopShared>>,
     loop_handles: Vec<JoinHandle<()>>,
-    pub(crate) pool: Arc<ShardPool>,
     shard_workers: Vec<JoinHandle<()>>,
 }
 
 impl EventBackend {
-    /// Drain order matters: acceptor first (no new sockets), then shard
-    /// queues close and workers finish (every admitted task delivers its
-    /// completion), then the loops stop — they flush those completions
-    /// and any buffered writes before exiting.
-    pub(crate) fn shutdown(self) {
+    /// Drain order matters: acceptor first (no new sockets; dropping the
+    /// listener closes it), then shard queues close and workers finish
+    /// (every admitted task delivers its completion), then the loops stop
+    /// — they flush those completions and any buffered writes before
+    /// exiting.
+    pub(crate) fn shutdown(self, pool: &ShardPool) {
+        self.accept_stop.store(true, Ordering::SeqCst);
         let _ = self.accept.join();
-        self.pool.close();
+        pool.close();
         for w in self.shard_workers {
             let _ = w.join();
         }
@@ -133,21 +136,18 @@ impl EventBackend {
     }
 }
 
-/// Spawns the acceptor, event loops and shard workers. The caller's
-/// `accept_stop` flag stops the acceptor (shared with the legacy path).
+/// Spawns the acceptor, event loops and the state's shard workers.
 pub(crate) fn start(
     listener: TcpListener,
     state: Arc<ServerState>,
-    accept_stop: Arc<AtomicBool>,
 ) -> std::io::Result<EventBackend> {
     let cfg = &state.config;
-    let pool = Arc::new(ShardPool::new(cfg.shards.max(1), cfg.max_queue));
     let batcher_cfg = BatcherConfig {
         lanes: cfg.batch.max(1),
         max_wait: Duration::from_millis(cfg.max_wait_ms),
         max_batch_jobs: cfg.max_batch_jobs.max(1),
     };
-    let shard_workers = pool.spawn_workers(&batcher_cfg, cfg.pin_cpus);
+    let shard_workers = state.pool.spawn_workers(&batcher_cfg, cfg.pin_cpus);
 
     let nloops = cfg.event_threads.max(1);
     let mut loops = Vec::with_capacity(nloops);
@@ -161,11 +161,10 @@ pub(crate) fn start(
         });
         loops.push(shared.clone());
         let state = state.clone();
-        let pool = pool.clone();
         loop_handles.push(
             std::thread::Builder::new()
                 .name(format!("sqlgen-evloop-{i}"))
-                .spawn(move || match EventLoop::new(state, pool, shared) {
+                .spawn(move || match EventLoop::new(state, shared) {
                     Ok(el) => el.run(),
                     Err(e) => sqlgen_obs::obs_warn!("[serve] event loop failed to start: {e}"),
                 })
@@ -175,11 +174,13 @@ pub(crate) fn start(
 
     let accept_loops = loops.clone();
     let sndbuf = cfg.sndbuf;
+    let accept_stop = Arc::new(AtomicBool::new(false));
+    let stop = accept_stop.clone();
     let accept = std::thread::Builder::new()
         .name("sqlgen-accept".to_string())
         .spawn(move || {
             let mut next = 0usize;
-            while !accept_stop.load(Ordering::SeqCst) {
+            while !stop.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let _ = stream.set_nodelay(true);
@@ -205,20 +206,18 @@ pub(crate) fn start(
         .expect("spawn acceptor");
 
     Ok(EventBackend {
+        accept_stop,
         accept,
         loops,
         loop_handles,
-        pool,
         shard_workers,
     })
 }
 
 /// An in-flight `/generate` awaiting its shard completion.
 struct Pending {
-    req: GenRequest,
-    schema: Arc<Schema>,
+    admitted: Admitted,
     started: Instant,
-    reply_deadline: Instant,
     keep_alive: bool,
     trace: Option<Arc<RequestTrace>>,
     ctx: TraceContext,
@@ -245,7 +244,6 @@ struct Conn {
 
 struct EventLoop {
     state: Arc<ServerState>,
-    pool: Arc<ShardPool>,
     shared: Arc<LoopShared>,
     epoll: Epoll,
     conns: Vec<Option<Conn>>,
@@ -260,11 +258,7 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    fn new(
-        state: Arc<ServerState>,
-        pool: Arc<ShardPool>,
-        shared: Arc<LoopShared>,
-    ) -> std::io::Result<EventLoop> {
+    fn new(state: Arc<ServerState>, shared: Arc<LoopShared>) -> std::io::Result<EventLoop> {
         let epoll = Epoll::new()?;
         epoll.add(shared.wake.fd(), EPOLLIN, WAKE_TOKEN)?;
         let cfg = &state.config;
@@ -273,7 +267,6 @@ impl EventLoop {
         let write_timeout = Duration::from_millis(cfg.write_timeout_ms.max(1));
         Ok(EventLoop {
             state,
-            pool,
             shared,
             epoll,
             conns: Vec::new(),
@@ -468,113 +461,35 @@ impl EventLoop {
         let ctx = TraceContext::from_headers(req.traceparent.as_deref(), req.request_id.as_deref());
         let trace = (endpoint == "generate").then(|| RequestTrace::begin(ctx, endpoint));
         let keep_alive = req.keep_alive && !self.state.draining.load(Ordering::SeqCst);
-        let path = req.path.split('?').next().unwrap_or("");
-        if req.method == "POST" && path == "/generate" {
-            self.dispatch_generate(i, &req.body, started, ctx, trace, keep_alive);
-            return;
-        }
-        let resp = route(
+        self.slot_gen[i] = self.slot_gen[i].wrapping_add(1);
+        let reply = Responder::Event(EventReply {
+            shared: self.shared.clone(),
+            token: i,
+            req_gen: self.slot_gen[i],
+        });
+        let routed = route(
             &self.state,
             req.method.as_str(),
             &req.path,
             &req.body,
             trace.as_ref(),
+            reply,
         );
-        let resp = finalize_response(&self.state, endpoint, started, ctx, trace, resp);
-        self.queue_response(i, &resp, keep_alive);
-    }
-
-    fn dispatch_generate(
-        &mut self,
-        i: usize,
-        body: &[u8],
-        started: Instant,
-        ctx: TraceContext,
-        trace: Option<Arc<RequestTrace>>,
-        keep_alive: bool,
-    ) {
-        let finish = |el: &mut Self, resp: Response, trace: Option<Arc<RequestTrace>>| {
-            let resp = finalize_response(&el.state, "generate", started, ctx, trace, resp);
-            el.queue_response(i, &resp, keep_alive);
-        };
-        let Ok(text) = std::str::from_utf8(body) else {
-            return finish(self, Response::error(400, "body is not utf-8"), trace);
-        };
-        let gr = match GenRequest::from_json(text) {
-            Ok(gr) => gr,
-            Err(e) => return finish(self, Response::error(400, &e), trace),
-        };
-        if let Some(tr) = &trace {
-            tr.annotate_num("n", gr.n as f64);
-            tr.annotate_num("seed", gr.seed as f64);
-        }
-        let Some(schema) = (if gr.schema.is_empty() {
-            self.state.schemas.first().cloned()
-        } else {
-            self.state
-                .schemas
-                .iter()
-                .find(|s| s.name == gr.schema)
-                .cloned()
-        }) else {
-            let msg = format!("unknown schema {:?}", gr.schema);
-            return finish(self, Response::error(404, &msg), trace);
-        };
-
-        // Cache hits are answered right here on the event loop — no queue,
-        // no shard, no window.
-        let key = CacheKey::for_request(&gr, schema.registry.current().version);
-        if let Some(cached) = schema.cache.get(&key) {
-            if let Some(tr) = &trace {
-                tr.annotate_str("cache", "hit");
+        match routed {
+            Routed::Respond(resp) => {
+                let resp = finalize_response(&self.state, endpoint, started, ctx, trace, resp);
+                self.queue_response(i, &resp, keep_alive);
             }
-            return finish(self, Response::json(200, cached.as_ref().clone()), trace);
-        }
-        if let Some(tr) = &trace {
-            tr.annotate_str("cache", "miss");
-        }
-
-        let now = Instant::now();
-        let cfg = &self.state.config;
-        let timeout = Duration::from_millis(gr.timeout_ms.unwrap_or(cfg.default_timeout_ms));
-        let deadline = now + timeout;
-        // Same grace as the blocking path: gather time + final lockstep
-        // iteration after the lanes abort at `deadline`.
-        let grace = Duration::from_millis(cfg.max_wait_ms + 2_000);
-        self.slot_gen[i] = self.slot_gen[i].wrapping_add(1);
-        let task = GenTask {
-            req: gr.clone(),
-            deadline: Some(deadline),
-            enqueued: now,
-            reply: Responder::Event(EventReply {
-                shared: self.shared.clone(),
-                token: i,
-                req_gen: self.slot_gen[i],
-            }),
-            trace: trace.clone(),
-        };
-        match self.pool.try_push(&schema, task) {
-            Err((PushError::Full, _)) => {
-                let resp = Response::error(429, "queue full; retry later")
-                    .with_header("retry-after", cfg.retry_after_s.to_string());
-                finish(self, resp, trace);
-            }
-            Err((PushError::Closed, _)) => {
-                finish(self, Response::error(503, "server is shutting down"), trace);
-            }
-            Ok(()) => {
-                let Some(conn) = self.conns[i].as_mut() else {
-                    return;
-                };
-                conn.pending = Some(Pending {
-                    req: gr,
-                    schema,
-                    started,
-                    reply_deadline: deadline + grace,
-                    keep_alive,
-                    trace,
-                    ctx,
-                });
+            Routed::Queued(admitted) => {
+                if let Some(conn) = self.conns[i].as_mut() {
+                    conn.pending = Some(Pending {
+                        admitted,
+                        started,
+                        keep_alive,
+                        trace,
+                        ctx,
+                    });
+                }
             }
         }
     }
@@ -590,23 +505,7 @@ impl EventLoop {
             let Some(p) = self.conns[i].as_mut().and_then(|conn| conn.pending.take()) else {
                 continue;
             };
-            let out = c.outcome;
-            let resp = if out.queries.is_empty() && out.expired > 0 {
-                sqlgen_obs::obs_count!("serve.timeout.count");
-                Response::error(504, "deadline expired before any query finished")
-            } else {
-                let body = outcome_json(&p.schema.name, &p.req, &out);
-                // Key on the version that actually ran (a hot swap can
-                // land between admission and execution); partially expired
-                // responses depend on the wall clock and are never cached.
-                if out.expired == 0 {
-                    p.schema.cache.put(
-                        CacheKey::for_request(&p.req, out.model_version),
-                        Arc::new(body.clone()),
-                    );
-                }
-                Response::json(200, body)
-            };
+            let resp = complete_generate(&p.admitted, &c.outcome);
             let resp = finalize_response(&self.state, "generate", p.started, p.ctx, p.trace, resp);
             self.queue_response(i, &resp, p.keep_alive);
             // A pipelined follow-up may already be buffered.
@@ -622,7 +521,7 @@ impl EventLoop {
                 continue;
             };
             if let Some(p) = &conn.pending {
-                if now >= p.reply_deadline {
+                if now >= p.admitted.reply_deadline {
                     let p = conn.pending.take().expect("pending just observed");
                     // Invalidate the outstanding EventReply.
                     self.slot_gen[i] = self.slot_gen[i].wrapping_add(1);

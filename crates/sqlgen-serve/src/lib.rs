@@ -6,8 +6,8 @@
 //!
 //! - [`http`] — hand-rolled, std-only HTTP/1.1 parsing and response
 //!   writing with hard limits (no tokio/hyper in this build environment).
-//! - [`queue`] — bounded admission queue; overflow becomes `429` +
-//!   `Retry-After` instead of unbounded buffering.
+//! - [`queue`] — bounded admission queue per shard; overflow becomes
+//!   `429` + `Retry-After` instead of unbounded buffering.
 //! - [`batcher`] — dynamic batching: concurrent requests coalesce into one
 //!   lockstep generation window, with per-request deadlines propagated
 //!   into the lanes. Responses are bitwise-identical to unbatched
@@ -18,11 +18,11 @@
 //! - [`shard`] — generation shard workers behind a consistent-hash router
 //!   on `(schema, model-version)`, with optional CPU pinning.
 //! - [`sys`] / [`event_loop`] — Linux-only raw epoll bindings and the
-//!   readiness event-loop backend (the default; `--legacy-pool` keeps the
-//!   thread pool).
+//!   readiness event loop that serves every connection. On other
+//!   platforms [`serve`] returns `ErrorKind::Unsupported`.
 //! - [`server`] — config, routing (`/generate`, `/healthz`, `/metrics`,
-//!   `/models`, `/models/reload`), backend selection and graceful
-//!   drain-style shutdown.
+//!   `/models`, `/models/reload`), admission and graceful drain-style
+//!   shutdown.
 //! - [`client`] — minimal client used by tests, the CLI and
 //!   `bench_serve`.
 
@@ -38,8 +38,8 @@ pub mod shard;
 pub mod sys;
 
 pub use batcher::{
-    run_window, run_window_tasks, BatcherConfig, GenRequest, GenTask, RequestOutcome, Responder,
-    Schema, ServedQuery, WindowOutcome, WindowRequest, MAX_QUERIES_PER_REQUEST,
+    run_window, BatcherConfig, GenRequest, GenTask, RequestOutcome, Responder, Schema, ServedQuery,
+    WindowOutcome, WindowRequest, MAX_QUERIES_PER_REQUEST,
 };
 pub use cache::{CacheKey, ResultCache};
 pub use http::{

@@ -1,4 +1,4 @@
-//! Bounded admission queue between HTTP workers and the dynamic batcher.
+//! Bounded admission queue between the event loops and a shard worker.
 //!
 //! Admission control happens at push time: a full queue rejects immediately
 //! (the HTTP layer turns that into `429` + `Retry-After`) instead of
@@ -33,7 +33,7 @@ pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     cap: usize,
-    /// Per-schema labeled depth gauge (`serve.queue.depth{schema=...}`);
+    /// Per-shard labeled depth gauge (`serve.queue.depth{shard=...}`);
     /// the unlabeled `serve.queue.depth` gauge is still set for
     /// compatibility with existing dashboards.
     depth_gauge: Option<Arc<sqlgen_obs::Gauge>>,
@@ -52,10 +52,10 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// A queue whose depth is also tracked per-schema in the labeled
-    /// `serve.queue.depth` family.
-    pub fn named(cap: usize, schema: &str) -> Self {
-        let labels = sqlgen_obs::Labels::new().with("schema", schema);
+    /// Shard `index`'s queue, whose depth is also tracked in the labeled
+    /// `serve.queue.depth{shard="<index>"}` series.
+    pub fn for_shard(cap: usize, index: usize) -> Self {
+        let labels = sqlgen_obs::Labels::new().with("shard", &index.to_string());
         let gauge = sqlgen_obs::metrics::global().gauge_with("serve.queue.depth", &labels);
         BoundedQueue {
             depth_gauge: Some(gauge),
@@ -117,7 +117,7 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking pop — the batcher's gather loop uses this to top up a
+    /// Non-blocking pop — the shard's gather loop uses this to top up a
     /// window without waiting once the first request is in hand.
     pub fn try_pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue lock");

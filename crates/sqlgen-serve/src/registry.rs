@@ -228,20 +228,33 @@ fn scan_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlgen_core::checkpoint::{write_atomic, Checkpoint};
+    use sqlgen_core::checkpoint::{write_atomic, Checkpoint, CheckpointMeta};
     use sqlgen_rl::NetConfig;
 
+    const NET: NetConfig = NetConfig {
+        embed_dim: 4,
+        hidden: 4,
+        layers: 1,
+        dropout: 0.0,
+    };
+
     fn actor(vocab: usize, seed: u64) -> ActorNet {
-        ActorNet::new(
-            vocab,
-            &NetConfig {
-                embed_dim: 4,
-                hidden: 4,
-                layers: 1,
-                dropout: 0.0,
+        ActorNet::new(vocab, &NET, seed)
+    }
+
+    /// A versioned actor-only checkpoint file body.
+    fn ckpt(vocab: usize, seed: u64) -> String {
+        Checkpoint {
+            config: CheckpointMeta {
+                algorithm: "actor-critic".to_string(),
+                vocab_size: vocab,
+                net: Some(NET),
+                constraint: None,
             },
-            seed,
-        )
+            actor: actor(vocab, seed),
+            critic: None,
+        }
+        .render()
     }
 
     fn builtin(vocab: usize) -> ServedModel {
@@ -273,7 +286,7 @@ mod tests {
     fn refresh_loads_highest_version_and_is_idempotent() {
         let dir = tmp_dir("load");
         for (name, seed) in [("policy-v1.ckpt", 2u64), ("policy-v3.ckpt", 3)] {
-            let text = Checkpoint::legacy(actor(9, seed)).render();
+            let text = ckpt(9, seed);
             write_atomic(&dir.join(name), &text).unwrap();
         }
         let reg = ModelRegistry::new(builtin(9), Some(dir.clone()), 9, false);
@@ -284,11 +297,7 @@ mod tests {
         // Unchanged directory → no swap.
         assert!(!reg.refresh().unwrap());
         // A newer publish is picked up.
-        write_atomic(
-            &dir.join("policy-v5.ckpt"),
-            &Checkpoint::legacy(actor(9, 9)).render(),
-        )
-        .unwrap();
+        write_atomic(&dir.join("policy-v5.ckpt"), &ckpt(9, 9)).unwrap();
         assert!(reg.refresh().unwrap());
         assert_eq!(reg.current().version, 5);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -298,17 +307,9 @@ mod tests {
     fn refresh_skips_mismatched_and_corrupt_checkpoints() {
         let dir = tmp_dir("skip");
         // v9 has the wrong vocabulary, v8 is garbage — v2 should win.
-        write_atomic(
-            &dir.join("bad-vocab-v9.ckpt"),
-            &Checkpoint::legacy(actor(5, 1)).render(),
-        )
-        .unwrap();
+        write_atomic(&dir.join("bad-vocab-v9.ckpt"), &ckpt(5, 1)).unwrap();
         write_atomic(&dir.join("corrupt-v8.ckpt"), "not a checkpoint").unwrap();
-        write_atomic(
-            &dir.join("good-v2.ckpt"),
-            &Checkpoint::legacy(actor(9, 4)).render(),
-        )
-        .unwrap();
+        write_atomic(&dir.join("good-v2.ckpt"), &ckpt(9, 4)).unwrap();
         let reg = ModelRegistry::new(builtin(9), Some(dir.clone()), 9, false);
         assert!(reg.refresh().unwrap());
         assert_eq!(reg.current().label, "good-v2");
@@ -364,11 +365,7 @@ mod tests {
     #[test]
     fn quantizing_registry_snapshots_every_installed_model() {
         let dir = tmp_dir("quant");
-        write_atomic(
-            &dir.join("policy-v4.ckpt"),
-            &Checkpoint::legacy(actor(9, 6)).render(),
-        )
-        .unwrap();
+        write_atomic(&dir.join("policy-v4.ckpt"), &ckpt(9, 6)).unwrap();
         let reg = ModelRegistry::new(builtin(9), Some(dir.clone()), 9, true);
         assert!(reg.quantized());
         // The bootstrap model is quantized up front...

@@ -1,55 +1,49 @@
-//! The HTTP server: bounded thread pool, routing, admission control and
+//! The HTTP server: configuration, routing, admission control and
 //! graceful shutdown.
 //!
-//! Thread layout (all std threads, no async runtime):
-//!
-//! ```text
-//! accept thread ──channel──► N http workers ──queue──► 1 batcher/schema
-//!      │                         │                          │
-//!  nonblocking              read_request               run_window on
-//!  listener +               route, respond             `batch` lanes
-//!  shutdown flag            (blocks on reply)
-//! ```
+//! Connections are served by the epoll backend in [`crate::event_loop`]
+//! (thread layout there); generation runs on the shard workers of
+//! [`crate::shard`]. `route` is the one request handler: scrape
+//! endpoints answer inline, and `POST /generate` goes through admission —
+//! parse → schema → result cache → [`ShardPool::try_push`] — which either
+//! answers at once (4xx, 429 on a full shard queue, 503 while draining, or
+//! a cached body) or hands the task to a shard.
 //!
 //! Shutdown (`ServerHandle::shutdown`) drains rather than aborts: the
-//! listener stops accepting, `/healthz` flips to 503, every schema queue
+//! listener stops accepting, `/healthz` flips to 503, every shard queue
 //! closes (new `/generate` → 503) while already-admitted tasks run to
 //! completion, and in-flight HTTP exchanges finish with
 //! `Connection: close`.
 
-use crate::batcher::{
-    batch_loop, BatcherConfig, GenRequest, GenTask, RequestOutcome, Responder, Schema,
-};
+use crate::batcher::{GenRequest, GenTask, RequestOutcome, Responder, Schema};
 use crate::cache::CacheKey;
-use crate::http::{read_request, write_response, Limits, Response};
+use crate::http::{Limits, Response};
 use crate::queue::PushError;
+use crate::shard::ShardPool;
 use sqlgen_obs::{Labels, RequestTrace, TraceContext, TraceStore, TraceStoreConfig};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Server knobs; the CLI exposes the first four as
-/// `--addr --threads --batch --max-queue`.
+/// Server knobs; the CLI exposes the first three as
+/// `--addr --batch --max-queue`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// HTTP worker threads (connection concurrency).
-    pub threads: usize,
     /// Lockstep GEMM lanes per generation window.
     pub batch: usize,
-    /// Admission queue capacity per schema; beyond it requests get 429.
+    /// Admission queue capacity per shard; beyond it requests get 429.
     pub max_queue: usize,
-    /// How long the batcher waits to coalesce a window.
+    /// How long a shard worker waits to coalesce a window.
     pub max_wait_ms: u64,
     /// Episode-count cap per window.
     pub max_batch_jobs: usize,
-    /// Socket read timeout (also the idle keep-alive cap).
+    /// Idle keep-alive and slow-request cap per connection.
     pub read_timeout_ms: u64,
+    /// Write-progress cap per connection.
     pub write_timeout_ms: u64,
     /// Value of the `Retry-After` header on 429.
     pub retry_after_s: u64,
@@ -60,7 +54,7 @@ pub struct ServeConfig {
     pub trace_capacity: usize,
     /// Percent of ordinary (non-error, non-slow) traces retained.
     pub trace_sample_pct: u64,
-    /// Event-loop threads for the readiness backend (`--event-threads`).
+    /// Event-loop threads (`--event-threads`).
     pub event_threads: usize,
     /// Shard workers behind the consistent-hash router (`--shards`).
     pub shards: usize,
@@ -68,12 +62,8 @@ pub struct ServeConfig {
     pub cache_mb: usize,
     /// Pin shard workers to CPUs round-robin (`--pin-cpus`).
     pub pin_cpus: bool,
-    /// Run the pre-event-loop thread-pool backend (`--legacy-pool`; also
-    /// the fallback on non-Linux hosts, where the epoll layer compiles
-    /// out).
-    pub legacy_pool: bool,
-    /// Kernel send-buffer cap per connection (event backend); `None`
-    /// keeps the OS default. Tests shrink it to force partial writes.
+    /// Kernel send-buffer cap per connection; `None` keeps the OS
+    /// default. Tests shrink it to force partial writes.
     pub sndbuf: Option<usize>,
 }
 
@@ -81,7 +71,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:8080".to_string(),
-            threads: 4,
             batch: 8,
             max_queue: 64,
             max_wait_ms: 5,
@@ -97,7 +86,6 @@ impl Default for ServeConfig {
             shards: 1,
             cache_mb: 64,
             pin_cpus: false,
-            legacy_pool: false,
             sndbuf: None,
         }
     }
@@ -109,18 +97,31 @@ pub(crate) struct ServerState {
     pub(crate) config: ServeConfig,
     /// Tail-sampled ring of completed request traces (`/debug/traces`).
     pub(crate) traces: Arc<TraceStore>,
+    /// Shard queues every admitted `/generate` lands on. Workers are
+    /// spawned when the backend starts, so a state that was never
+    /// launched only queues.
+    pub(crate) pool: Arc<ShardPool>,
 }
 
-/// The thread bundle behind a [`ServerHandle`]: blocking worker pool or
-/// epoll event loops + shard workers.
-pub(crate) enum Backend {
-    Legacy {
-        accept: JoinHandle<()>,
-        http_workers: Vec<JoinHandle<()>>,
-        batchers: Vec<JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Event(crate::event_loop::EventBackend),
+impl ServerState {
+    pub(crate) fn new(config: ServeConfig, schemas: Vec<Schema>) -> ServerState {
+        assert!(!schemas.is_empty(), "serve() needs at least one schema");
+        let schemas: Vec<Arc<Schema>> = schemas.into_iter().map(Arc::new).collect();
+        for schema in &schemas {
+            schema.cache.set_budget(config.cache_mb * 1024 * 1024);
+        }
+        ServerState {
+            schemas,
+            draining: AtomicBool::new(false),
+            traces: Arc::new(TraceStore::new(TraceStoreConfig {
+                capacity: config.trace_capacity.max(1),
+                sample_pct: config.trace_sample_pct,
+                ..TraceStoreConfig::default()
+            })),
+            pool: Arc::new(ShardPool::new(config.shards.max(1), config.max_queue)),
+            config,
+        }
+    }
 }
 
 /// A running server. Dropping the handle leaks the threads; call
@@ -128,8 +129,8 @@ pub(crate) enum Backend {
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    accept_stop: Arc<AtomicBool>,
-    backend: Backend,
+    #[cfg(target_os = "linux")]
+    backend: crate::event_loop::EventBackend,
 }
 
 impl ServerHandle {
@@ -143,31 +144,18 @@ impl ServerHandle {
         self.state.schemas.iter().find(|s| s.name == name).cloned()
     }
 
-    /// Total admitted-but-unstarted tasks (bench queue-depth sampling):
-    /// shard queues on the event backend, per-schema queues on the pool.
+    /// Total admitted-but-unstarted tasks across the shard queues (bench
+    /// queue-depth sampling).
     pub fn queue_depth(&self) -> usize {
-        match &self.backend {
-            Backend::Legacy { .. } => self.state.schemas.iter().map(|s| s.queue.len()).sum(),
-            #[cfg(target_os = "linux")]
-            Backend::Event(ev) => ev.pool.depth(),
-        }
+        self.state.pool.depth()
     }
 
     /// Owned queue-depth sampler: a closure the bench can move into a
     /// monitoring thread while the handle itself stays on the driver
     /// thread. Same accounting as [`ServerHandle::queue_depth`].
     pub fn depth_probe(&self) -> Box<dyn Fn() -> usize + Send + Sync> {
-        match &self.backend {
-            Backend::Legacy { .. } => {
-                let state = self.state.clone();
-                Box::new(move || state.schemas.iter().map(|s| s.queue.len()).sum())
-            }
-            #[cfg(target_os = "linux")]
-            Backend::Event(ev) => {
-                let pool = ev.pool.clone();
-                Box::new(move || pool.depth())
-            }
-        }
+        let pool = self.state.pool.clone();
+        Box::new(move || pool.depth())
     }
 
     /// `(hits, misses, evictions)` summed over every schema's result
@@ -185,192 +173,55 @@ impl ServerHandle {
     /// threads.
     pub fn shutdown(self) {
         self.state.draining.store(true, Ordering::SeqCst);
-        self.accept_stop.store(true, Ordering::SeqCst);
-        match self.backend {
-            Backend::Legacy {
-                accept,
-                http_workers,
-                batchers,
-            } => {
-                for schema in &self.state.schemas {
-                    schema.queue.close();
-                }
-                let _ = accept.join();
-                for w in http_workers {
-                    let _ = w.join();
-                }
-                for b in batchers {
-                    let _ = b.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Backend::Event(ev) => ev.shutdown(),
-        }
+        #[cfg(target_os = "linux")]
+        self.backend.shutdown(&self.state.pool);
     }
 }
 
-/// Binds, spawns the thread pool and batchers, and returns immediately.
+/// Binds, spawns the event loops and shard workers, and returns
+/// immediately.
+#[cfg(target_os = "linux")]
 pub fn serve(config: ServeConfig, schemas: Vec<Schema>) -> std::io::Result<ServerHandle> {
-    assert!(!schemas.is_empty(), "serve() needs at least one schema");
-    let listener = TcpListener::bind(&config.addr)?;
+    let listener = std::net::TcpListener::bind(&config.addr)?;
+    launch(listener, Arc::new(ServerState::new(config, schemas)))
+}
+
+/// The server runs on an epoll event loop, so it needs Linux.
+#[cfg(not(target_os = "linux"))]
+pub fn serve(_config: ServeConfig, _schemas: Vec<Schema>) -> std::io::Result<ServerHandle> {
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "sqlgen serve needs Linux: its event loop is built on epoll",
+    ))
+}
+
+/// Starts the backend on a bound listener and a built state (tests admit
+/// work into `state` before launching it).
+#[cfg(target_os = "linux")]
+pub(crate) fn launch(
+    listener: std::net::TcpListener,
+    state: Arc<ServerState>,
+) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-
-    let traces = Arc::new(TraceStore::new(TraceStoreConfig {
-        capacity: config.trace_capacity.max(1),
-        sample_pct: config.trace_sample_pct,
-        ..TraceStoreConfig::default()
-    }));
-    let state = Arc::new(ServerState {
-        schemas: schemas.into_iter().map(Arc::new).collect(),
-        draining: AtomicBool::new(false),
-        config,
-        traces,
-    });
-    for schema in &state.schemas {
-        schema.cache.set_budget(state.config.cache_mb * 1024 * 1024);
-    }
-
-    let accept_stop = Arc::new(AtomicBool::new(false));
-
-    #[cfg(target_os = "linux")]
-    if !state.config.legacy_pool {
-        let backend = crate::event_loop::start(listener, state.clone(), accept_stop.clone())?;
-        sqlgen_obs::obs_info!(
-            "[serve] listening on {addr} (event backend: {} loops, {} shards, cache {} MiB, {} schemas)",
-            state.config.event_threads.max(1),
-            state.config.shards.max(1),
-            state.config.cache_mb,
-            state.schemas.len()
-        );
-        return Ok(ServerHandle {
-            addr,
-            state,
-            accept_stop,
-            backend: Backend::Event(backend),
-        });
-    }
-
-    let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-    let stop = accept_stop.clone();
-    let accept = std::thread::spawn(move || {
-        // conn_tx lives here: when this thread exits, workers see the
-        // channel disconnect and wind down.
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if conn_tx.send(stream).is_err() {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    sqlgen_obs::obs_warn!("[serve] accept error: {e}");
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
-    });
-
-    let mut http_workers = Vec::new();
-    for _ in 0..state.config.threads.max(1) {
-        let state = state.clone();
-        let rx = conn_rx.clone();
-        http_workers.push(std::thread::spawn(move || loop {
-            let next = rx.lock().expect("conn receiver").recv();
-            match next {
-                Ok(stream) => handle_connection(&state, stream),
-                Err(_) => return, // accept thread gone and channel drained
-            }
-        }));
-    }
-
-    let mut batchers = Vec::new();
-    for schema in &state.schemas {
-        let schema = schema.clone();
-        let cfg = BatcherConfig {
-            lanes: state.config.batch.max(1),
-            max_wait: Duration::from_millis(state.config.max_wait_ms),
-            max_batch_jobs: state.config.max_batch_jobs.max(1),
-        };
-        batchers.push(std::thread::spawn(move || batch_loop(&schema, &cfg)));
-    }
-
+    let backend = crate::event_loop::start(listener, state.clone())?;
     sqlgen_obs::obs_info!(
-        "[serve] listening on {addr} ({} schemas, {} http workers, batch {})",
-        state.schemas.len(),
-        state.config.threads.max(1),
-        state.config.batch.max(1)
+        "[serve] listening on {addr} ({} loops, {} shards, batch {}, cache {} MiB, {} schemas)",
+        state.config.event_threads.max(1),
+        state.pool.len(),
+        state.config.batch.max(1),
+        state.config.cache_mb,
+        state.schemas.len()
     );
     Ok(ServerHandle {
         addr,
         state,
-        accept_stop,
-        backend: Backend::Legacy {
-            accept,
-            http_workers,
-            batchers,
-        },
+        backend,
     })
 }
 
-fn handle_connection(state: &ServerState, stream: TcpStream) {
-    let cfg = &state.config;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms.max(1))));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        match read_request(&mut reader, &cfg.limits) {
-            Ok(req) => {
-                let started = Instant::now();
-                let endpoint = endpoint_label(&req.path);
-                // Trace identity: inbound traceparent/X-Request-Id when
-                // valid, fresh otherwise; echoed on every response. Only
-                // `/generate` builds (and offers) a full span tree — scrape
-                // endpoints would flood the ring with trivial traces.
-                let ctx = TraceContext::from_headers(
-                    req.traceparent.as_deref(),
-                    req.request_id.as_deref(),
-                );
-                let trace = (endpoint == "generate").then(|| RequestTrace::begin(ctx, endpoint));
-                let resp = route(
-                    state,
-                    req.method.as_str(),
-                    &req.path,
-                    &req.body,
-                    trace.as_ref(),
-                );
-                let resp = finalize_response(state, endpoint, started, ctx, trace, resp);
-                // During a drain every response closes its connection so
-                // the worker pool can wind down.
-                let keep_alive = req.keep_alive && !state.draining.load(Ordering::SeqCst);
-                if write_response(&mut writer, &resp, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Err(e) => {
-                if let Some(status) = e.status() {
-                    let _ =
-                        write_response(&mut writer, &Response::error(status, e.detail()), false);
-                }
-                return;
-            }
-        }
-    }
-}
-
 /// Trace-header echo, trace offer, and per-endpoint request metrics —
-/// everything a response needs on its way out, shared by the blocking
-/// worker path and the event loop.
+/// everything a response needs on its way out.
 pub(crate) fn finalize_response(
     state: &ServerState,
     endpoint: &'static str,
@@ -416,15 +267,37 @@ pub(crate) fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
+/// What [`route`] made of a request.
+pub(crate) enum Routed {
+    /// Answered without generation.
+    Respond(Response),
+    /// Admitted to a shard queue; the outcome arrives through the
+    /// responder handed to [`route`] and becomes a response via
+    /// [`complete_generate`].
+    Queued(Admitted),
+}
+
+/// A `/generate` waiting on its shard.
+pub(crate) struct Admitted {
+    pub(crate) req: GenRequest,
+    pub(crate) schema: Arc<Schema>,
+    /// When the caller stops waiting and answers 504.
+    pub(crate) reply_deadline: Instant,
+}
+
+/// Handles one request. `reply` is where a queued `/generate` delivers
+/// its outcome; every other request drops it unused.
 pub(crate) fn route(
     state: &ServerState,
     method: &str,
     path: &str,
     body: &[u8],
     trace: Option<&Arc<RequestTrace>>,
-) -> Response {
+    reply: Responder,
+) -> Routed {
     let path = path.split('?').next().unwrap_or("");
-    match (method, path) {
+    let resp = match (method, path) {
+        ("POST", "/generate") => return admit_generate(state, body, trace, reply),
         ("GET", "/healthz") => {
             if state.draining.load(Ordering::SeqCst) {
                 Response::json(503, r#"{"status":"draining"}"#.to_string())
@@ -454,13 +327,13 @@ pub(crate) fn route(
             }
         }
         ("POST", "/models/reload") => reload(state),
-        ("POST", "/generate") => generate(state, body, trace),
         (_, "/healthz" | "/metrics" | "/models" | "/models/reload" | "/generate") => {
             Response::error(405, "method not allowed")
         }
         (_, p) if p.starts_with("/debug/") => Response::error(405, "method not allowed"),
         _ => Response::error(404, "no such endpoint"),
-    }
+    };
+    Routed::Respond(resp)
 }
 
 /// Summary listing for `/debug/traces` and `/debug/slowest`, with the
@@ -484,14 +357,19 @@ fn models_json(state: &ServerState) -> String {
         .map(|s| {
             let m = s.registry.current();
             let (hits, misses, evictions) = s.cache.stats();
+            // The shard queue admission would route this schema to now.
+            let queue = &state
+                .pool
+                .shard_for(&s.name, s.registry.version_hint())
+                .queue;
             format!(
                 r#"{{"name":{},"model":{},"version":{},"quantized":{},"queue_depth":{},"queue_capacity":{},"cache":{{"entries":{},"bytes":{},"hits":{hits},"misses":{misses},"evictions":{evictions}}}}}"#,
                 json_str(&s.name),
                 json_str(&m.label),
                 m.version,
                 m.quant.is_some(),
-                s.queue.len(),
-                s.queue.capacity(),
+                queue.len(),
+                queue.capacity(),
                 s.cache.len(),
                 s.cache.bytes()
             )
@@ -530,13 +408,21 @@ fn reload(state: &ServerState) -> Response {
     Response::json(200, format!(r#"{{"schemas":[{}]}}"#, entries.join(",")))
 }
 
-fn generate(state: &ServerState, body: &[u8], trace: Option<&Arc<RequestTrace>>) -> Response {
+/// Admission for `/generate`: parse → schema → result cache → shard
+/// queue. Full queues answer 429 with `Retry-After`; closed ones (drain)
+/// answer 503.
+fn admit_generate(
+    state: &ServerState,
+    body: &[u8],
+    trace: Option<&Arc<RequestTrace>>,
+    reply: Responder,
+) -> Routed {
     let Ok(text) = std::str::from_utf8(body) else {
-        return Response::error(400, "body is not utf-8");
+        return Routed::Respond(Response::error(400, "body is not utf-8"));
     };
     let req = match GenRequest::from_json(text) {
         Ok(req) => req,
-        Err(e) => return Response::error(400, &e),
+        Err(e) => return Routed::Respond(Response::error(400, &e)),
     };
     if let Some(tr) = trace {
         tr.annotate_num("n", req.n as f64);
@@ -547,18 +433,19 @@ fn generate(state: &ServerState, body: &[u8], trace: Option<&Arc<RequestTrace>>)
     } else {
         state.schemas.iter().find(|s| s.name == req.schema).cloned()
     }) else {
-        return Response::error(404, &format!("unknown schema {:?}", req.schema));
+        let msg = format!("unknown schema {:?}", req.schema);
+        return Routed::Respond(Response::error(404, &msg));
     };
 
     // Responses are pure functions of (model-version, schema, seed,
     // constraint, n), so a cached body is the same bytes a fresh rollout
-    // would produce.
+    // would produce — and a hit never touches a queue.
     let key = CacheKey::for_request(&req, schema.registry.current().version);
     if let Some(body) = schema.cache.get(&key) {
         if let Some(tr) = trace {
             tr.annotate_str("cache", "hit");
         }
-        return Response::json(200, body.as_ref().clone());
+        return Routed::Respond(Response::json(200, body.as_ref().clone()));
     }
     if let Some(tr) = trace {
         tr.annotate_str("cache", "miss");
@@ -569,51 +456,49 @@ fn generate(state: &ServerState, body: &[u8], trace: Option<&Arc<RequestTrace>>)
     // for probing the expiry path deterministically.
     let timeout = Duration::from_millis(req.timeout_ms.unwrap_or(state.config.default_timeout_ms));
     let deadline = now + timeout;
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let task = GenTask {
         req: req.clone(),
         deadline: Some(deadline),
         enqueued: now,
-        reply: Responder::Channel(reply_tx),
+        reply,
         trace: trace.cloned(),
     };
-    match schema.queue.try_push(task) {
-        Err((PushError::Full, _)) => {
-            return Response::error(429, "queue full; retry later")
-                .with_header("retry-after", state.config.retry_after_s.to_string());
-        }
+    match state.pool.try_push(&schema, task) {
+        Err((PushError::Full, _)) => Routed::Respond(
+            Response::error(429, "queue full; retry later")
+                .with_header("retry-after", state.config.retry_after_s.to_string()),
+        ),
         Err((PushError::Closed, _)) => {
-            return Response::error(503, "server is shutting down");
+            Routed::Respond(Response::error(503, "server is shutting down"))
         }
-        Ok(()) => {}
+        // Lanes abort expired jobs at `deadline`; the grace term covers
+        // window gather time plus the final lockstep iteration.
+        Ok(()) => Routed::Queued(Admitted {
+            req,
+            schema,
+            reply_deadline: deadline + Duration::from_millis(state.config.max_wait_ms + 2_000),
+        }),
     }
-    // The batcher aborts expired lanes at `deadline`; the grace term covers
-    // window gather time plus the final lockstep iteration.
-    let grace = Duration::from_millis(state.config.max_wait_ms + 2_000);
-    match reply_rx.recv_timeout(timeout + grace) {
-        Ok(out) => {
-            if out.queries.is_empty() && out.expired > 0 {
-                sqlgen_obs::obs_count!("serve.timeout.count");
-                return Response::error(504, "deadline expired before any query finished");
-            }
-            let body = outcome_json(&schema.name, &req, &out);
-            // Only fully-finished responses are pure functions of the key
-            // (expiry depends on wall clock); key on the version that
-            // actually ran, which can differ from the admission-time
-            // version across a hot swap.
-            if out.expired == 0 {
-                schema.cache.put(
-                    CacheKey::for_request(&req, out.model_version),
-                    Arc::new(body.clone()),
-                );
-            }
-            Response::json(200, body)
-        }
-        Err(_) => {
-            sqlgen_obs::obs_count!("serve.timeout.count");
-            Response::error(504, "generation did not finish before the deadline")
-        }
+}
+
+/// Turns a shard's outcome for an admitted request into its response,
+/// caching fully finished bodies.
+pub(crate) fn complete_generate(admitted: &Admitted, out: &RequestOutcome) -> Response {
+    if out.queries.is_empty() && out.expired > 0 {
+        sqlgen_obs::obs_count!("serve.timeout.count");
+        return Response::error(504, "deadline expired before any query finished");
     }
+    let body = outcome_json(&admitted.schema.name, &admitted.req, out);
+    // Only fully-finished responses are pure functions of the key (expiry
+    // depends on the wall clock); key on the version that actually ran,
+    // which can differ from the admission-time version across a hot swap.
+    if out.expired == 0 {
+        admitted.schema.cache.put(
+            CacheKey::for_request(&admitted.req, out.model_version),
+            Arc::new(body.clone()),
+        );
+    }
+    Response::json(200, body)
 }
 
 /// Renders the `/generate` 200 body. Pub for the cache-equivalence fuzz
@@ -657,67 +542,81 @@ fn json_num(v: f64) -> String {
     }
 }
 
-// Route-level tests drive `route()` directly (no sockets, no batcher), so
-// the admission responses are deterministic: the queue is exactly as full
-// as the test made it.
+// Route-level tests drive `route()` on a state whose shard workers never
+// started (no sockets, no generation), so admission is deterministic: the
+// shard queue is exactly as full as the test made it.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batcher::ServedQuery;
     use sqlgen_core::{Constraint, GenConfig};
     use sqlgen_storage::gen::tpch_database;
+    use std::sync::mpsc;
+
+    const GEN_BODY: &[u8] = br#"{"constraint":{"min":1,"max":500},"n":2}"#;
 
     fn test_state(queue_cap: usize) -> ServerState {
         let db = tpch_database(0.05, 2);
         let config = GenConfig::fast().with_seed(11);
-        let schema = Schema::build("tpch", &db, &config, None, queue_cap);
-        ServerState {
-            schemas: vec![Arc::new(schema)],
-            draining: AtomicBool::new(false),
-            config: ServeConfig::default(),
-            traces: Arc::new(TraceStore::new(TraceStoreConfig::default())),
+        let schema = Schema::build("tpch", &db, &config, None);
+        let config = ServeConfig {
+            max_queue: queue_cap,
+            ..ServeConfig::default()
+        };
+        ServerState::new(config, vec![schema])
+    }
+
+    /// Routes with a channel responder; the receiver gets the outcome if
+    /// the request was queued and a worker ran it.
+    fn call(
+        state: &ServerState,
+        method: &str,
+        path: &str,
+        body: &[u8],
+    ) -> (Routed, mpsc::Receiver<RequestOutcome>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        (
+            route(state, method, path, body, None, Responder::Channel(tx)),
+            rx,
+        )
+    }
+
+    /// The immediate response; panics if the request was queued instead.
+    fn respond(state: &ServerState, method: &str, path: &str, body: &[u8]) -> Response {
+        match call(state, method, path, body).0 {
+            Routed::Respond(resp) => resp,
+            Routed::Queued(a) => panic!("{method} {path} was queued for {:?}", a.req),
         }
     }
 
-    fn fill_queue(state: &ServerState) -> mpsc::Receiver<RequestOutcome> {
-        let schema = &state.schemas[0];
-        let (tx, rx) = mpsc::sync_channel(state.config.max_queue);
-        while schema.queue.len() < schema.queue.capacity() {
-            schema
-                .queue
-                .try_push(GenTask {
-                    req: GenRequest {
-                        schema: String::new(),
-                        constraint: Constraint::cardinality_point(10.0),
-                        n: 1,
-                        seed: 0,
-                        timeout_ms: None,
-                    },
-                    deadline: None,
-                    enqueued: Instant::now(),
-                    reply: Responder::Channel(tx.clone()),
-                    trace: None,
-                })
-                .map_err(|(e, _)| e)
-                .unwrap();
+    fn admit(state: &ServerState, body: &[u8]) -> mpsc::Receiver<RequestOutcome> {
+        match call(state, "POST", "/generate", body) {
+            (Routed::Queued(_), rx) => rx,
+            (Routed::Respond(resp), _) => panic!("not admitted: {} {}", resp.status, resp.body),
         }
-        rx
+    }
+
+    fn models_entry(state: &ServerState) -> serde_json::Value {
+        let models = respond(state, "GET", "/models", b"");
+        assert_eq!(models.status, 200);
+        let v = serde_json::from_str::<serde_json::Value>(&models.body).unwrap();
+        v.get("schemas").unwrap().as_array().unwrap()[0].clone()
     }
 
     #[test]
     fn unknown_paths_and_methods_get_404_and_405() {
         let state = test_state(4);
-        assert_eq!(route(&state, "GET", "/nope", b"", None).status, 404);
-        assert_eq!(route(&state, "DELETE", "/generate", b"", None).status, 405);
-        assert_eq!(route(&state, "POST", "/healthz", b"", None).status, 405);
+        assert_eq!(respond(&state, "GET", "/nope", b"").status, 404);
+        assert_eq!(respond(&state, "DELETE", "/generate", b"").status, 405);
+        assert_eq!(respond(&state, "POST", "/healthz", b"").status, 405);
     }
 
     #[test]
     fn healthz_flips_to_503_while_draining() {
         let state = test_state(4);
-        assert_eq!(route(&state, "GET", "/healthz", b"", None).status, 200);
+        assert_eq!(respond(&state, "GET", "/healthz", b"").status, 200);
         state.draining.store(true, Ordering::SeqCst);
-        let resp = route(&state, "GET", "/healthz", b"", None);
+        let resp = respond(&state, "GET", "/healthz", b"");
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("draining"));
     }
@@ -725,67 +624,130 @@ mod tests {
     #[test]
     fn generate_validates_body_and_schema() {
         let state = test_state(4);
-        assert_eq!(
-            route(&state, "POST", "/generate", b"not json", None).status,
-            400
-        );
-        assert_eq!(
-            route(&state, "POST", "/generate", &[0xff, 0xfe], None).status,
-            400
-        );
-        let unknown = br#"{"schema":"nope","constraint":{"point":1}}"#;
-        assert_eq!(
-            route(&state, "POST", "/generate", unknown, None).status,
-            404
-        );
+        let post = |body: &[u8]| respond(&state, "POST", "/generate", body).status;
+        assert_eq!(post(b"not json"), 400);
+        assert_eq!(post(&[0xff, 0xfe]), 400);
+        assert_eq!(post(br#"{"constraint":{"point":1},"n":0}"#), 400);
+        assert_eq!(post(br#"{"schema":"nope","constraint":{"point":1}}"#), 404);
+        // Nothing was admitted along the way.
+        assert_eq!(state.pool.depth(), 0);
     }
 
     #[test]
     fn full_queue_gets_429_with_retry_after() {
         let state = test_state(2);
-        let _rx = fill_queue(&state);
-        let resp = route(
-            &state,
-            "POST",
-            "/generate",
-            br#"{"constraint":{"point":1}}"#,
-            None,
-        );
+        let _rxs = [admit(&state, GEN_BODY), admit(&state, GEN_BODY)];
+        let resp = respond(&state, "POST", "/generate", GEN_BODY);
         assert_eq!(resp.status, 429);
         assert!(resp
             .headers
             .iter()
             .any(|(name, value)| name == "retry-after" && value == "1"));
+        assert_eq!(state.pool.depth(), 2);
     }
 
     #[test]
     fn closed_queue_gets_503() {
         let state = test_state(4);
-        state.schemas[0].queue.close();
-        let resp = route(
-            &state,
-            "POST",
-            "/generate",
-            br#"{"constraint":{"point":1}}"#,
-            None,
+        state.pool.close();
+        assert_eq!(respond(&state, "POST", "/generate", GEN_BODY).status, 503);
+    }
+
+    #[test]
+    fn cache_hits_are_answered_without_admission() {
+        let state = test_state(1);
+        let req = GenRequest::from_json(std::str::from_utf8(GEN_BODY).unwrap()).unwrap();
+        let schema = &state.schemas[0];
+        let key = CacheKey::for_request(&req, schema.registry.current().version);
+        schema.cache.put(key, Arc::new("cached".to_string()));
+        // Twice over a one-slot queue: hits never take a slot.
+        for _ in 0..2 {
+            let resp = respond(&state, "POST", "/generate", GEN_BODY);
+            assert_eq!((resp.status, resp.body.as_str()), (200, "cached"));
+        }
+        assert_eq!(state.pool.depth(), 0);
+    }
+
+    #[test]
+    fn models_reports_the_admitting_shard_queue() {
+        const CAP: usize = 3;
+        let state = test_state(CAP);
+        let entry = models_entry(&state);
+        assert_eq!(entry.get("queue_depth").unwrap().as_u64(), Some(0));
+        assert_eq!(
+            entry.get("queue_capacity").unwrap().as_u64(),
+            Some(CAP as u64)
         );
-        assert_eq!(resp.status, 503);
+        let mut rxs = Vec::new();
+        for n in 1..=CAP {
+            rxs.push(admit(&state, GEN_BODY));
+            let entry = models_entry(&state);
+            assert_eq!(entry.get("queue_depth").unwrap().as_u64(), Some(n as u64));
+        }
+        assert_eq!(respond(&state, "POST", "/generate", GEN_BODY).status, 429);
+        let entry = models_entry(&state);
+        assert_eq!(entry.get("queue_depth").unwrap().as_u64(), Some(CAP as u64));
+    }
+
+    #[test]
+    fn metrics_label_shard_queue_depth_by_shard() {
+        let state = test_state(4);
+        let _rx = admit(&state, GEN_BODY);
+        let metrics = respond(&state, "GET", "/metrics", b"");
+        assert_eq!(metrics.status, 200);
+        sqlgen_obs::validate_exposition(&metrics.body).expect("exposition-valid /metrics");
+        assert!(
+            metrics.body.contains(r#"serve_queue_depth{shard="0"}"#),
+            "{}",
+            metrics.body
+        );
+        assert!(
+            !metrics.body.contains(r#"schema="shard0""#),
+            "{}",
+            metrics.body
+        );
     }
 
     #[test]
     fn models_and_metrics_render() {
         let state = test_state(4);
-        let models = route(&state, "GET", "/models", b"", None);
-        assert_eq!(models.status, 200);
-        let v = serde_json::from_str::<serde_json::Value>(&models.body).unwrap();
-        let entry = &v.get("schemas").unwrap().as_array().unwrap()[0];
+        let entry = models_entry(&state);
         assert_eq!(entry.get("name").unwrap().as_str(), Some("tpch"));
         assert_eq!(entry.get("model").unwrap().as_str(), Some("builtin"));
         assert_eq!(entry.get("quantized").unwrap().as_bool(), Some(false));
-        assert_eq!(route(&state, "GET", "/metrics", b"", None).status, 200);
-        assert_eq!(
-            route(&state, "POST", "/models/reload", b"", None).status,
-            200
+        assert_eq!(respond(&state, "GET", "/metrics", b"").status, 200);
+        assert_eq!(respond(&state, "POST", "/models/reload", b"").status, 200);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn graceful_shutdown_drains_queued_work_and_closes_listener() {
+        let state = Arc::new(test_state(64));
+        // Admitted before the backend even starts, so every task is in a
+        // shard queue when shutdown begins.
+        let rxs: Vec<_> = (0..6u64)
+            .map(|seed| {
+                let body = format!(r#"{{"constraint":{{"min":1,"max":500}},"n":2,"seed":{seed}}}"#);
+                admit(&state, body.as_bytes())
+            })
+            .collect();
+        assert_eq!(state.pool.depth(), rxs.len());
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = launch(listener, state.clone()).unwrap();
+        let addr = server.addr();
+        server.shutdown();
+        // Drain, not abort: shard workers joined after answering all of it.
+        for rx in rxs {
+            let out = rx.try_recv().expect("queued task answered before join");
+            assert_eq!(out.queries.len() + out.expired, 2);
+        }
+        assert_eq!(state.pool.depth(), 0);
+        // New work is refused and the listener is gone.
+        assert_eq!(respond(&state, "POST", "/generate", GEN_BODY).status, 503);
+        assert_eq!(respond(&state, "GET", "/healthz", b"").status, 503);
+        assert!(
+            std::net::TcpStream::connect(addr).is_err(),
+            "listener still open after shutdown"
         );
     }
 

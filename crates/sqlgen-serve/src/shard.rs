@@ -1,11 +1,9 @@
 //! Sharded generation workers behind the event loop.
 //!
-//! The legacy pool runs one batcher thread per schema, so co-tenant
-//! schemas all contend on their own single thread and a hot schema cannot
-//! scale past it. The shard pool decouples workers from schemas: `N`
-//! identical workers each own a bounded queue, and a consistent-hash ring
-//! over `(schema, model-version)` routes every request to one shard. The
-//! ring gives two properties the north-star multi-tenant deployment needs:
+//! Workers are decoupled from schemas: `N` identical workers each own a
+//! bounded admission queue, and a consistent-hash ring over
+//! `(schema, model-version)` routes every request to one shard. The ring
+//! gives two properties a multi-tenant deployment needs:
 //!
 //! * **Stability** — a `(schema, version)` pair always lands on the same
 //!   shard, so its requests coalesce into shared windows instead of
@@ -66,7 +64,7 @@ impl ShardPool {
         let shards: Vec<Arc<Shard>> = (0..n)
             .map(|i| {
                 Arc::new(Shard {
-                    queue: BoundedQueue::named(queue_cap, &format!("shard{i}")),
+                    queue: BoundedQueue::for_shard(queue_cap, i),
                 })
             })
             .collect();
@@ -166,17 +164,6 @@ impl ShardPool {
     }
 }
 
-/// Shard worker body: gather a window, group the gathered tasks by schema
-/// preserving arrival order, and run one window per schema group. Runs
-/// until the shard's queue is closed and drained.
-///
-/// Gather policy: drain whatever is already queued without waiting, and
-/// keep waiting (bounded by `max_wait`) only while the window holds fewer
-/// jobs than one GEMM lane width. Closed-loop bursts arrive together and
-/// fill the window on the first drain, so they never pay the wait; smooth
-/// open-loop arrivals would otherwise each get a private window and pay
-/// the full per-window fixed cost (env + lane-state setup), capping
-/// throughput far below the batched capacity.
 /// Shard-local model snapshots: one `(schema, generation, model)` entry
 /// per schema this worker has served. Between windows the worker refreshes
 /// the registry (disk scan, between windows only — never mid-window) and
@@ -196,8 +183,8 @@ impl ModelCache {
     }
 
     /// The model the next window on `schema` should run. Refreshes the
-    /// registry from disk first (a successful swap invalidates the result
-    /// cache, exactly as `run_window_tasks` does on the legacy path).
+    /// registry from disk first; a successful swap invalidates the result
+    /// cache.
     fn model_for(&mut self, schema: &Arc<Schema>) -> Arc<ServedModel> {
         if let Ok(true) = schema.registry.refresh() {
             schema.cache.clear();
@@ -225,6 +212,17 @@ impl ModelCache {
     }
 }
 
+/// Shard worker body: gather a window, group the gathered tasks by schema
+/// preserving arrival order, and run one window per schema group. Runs
+/// until the shard's queue is closed and drained.
+///
+/// Gather policy: drain whatever is already queued without waiting, and
+/// keep waiting (bounded by `max_wait`) only while the window holds fewer
+/// jobs than one GEMM lane width. Closed-loop bursts arrive together and
+/// fill the window on the first drain, so they never pay the wait; smooth
+/// open-loop arrivals would otherwise each get a private window and pay
+/// the full per-window fixed cost (env + lane-state setup), capping
+/// throughput far below the batched capacity.
 fn shard_loop(shard: &Shard, cfg: &BatcherConfig) {
     let mut models = ModelCache::new();
     loop {
@@ -315,7 +313,7 @@ mod tests {
     fn shard_model_cache_reuses_snapshots_until_publish() {
         let db = sqlgen_storage::gen::tpch_database(0.05, 2);
         let config = sqlgen_core::GenConfig::fast().with_seed(11);
-        let schema = Arc::new(Schema::build("t", &db, &config, None, 8));
+        let schema = Arc::new(Schema::build("t", &db, &config, None));
         let mut cache = ModelCache::new();
         let a = cache.model_for(&schema);
         let b = cache.model_for(&schema);
@@ -331,6 +329,52 @@ mod tests {
         );
         assert_eq!(c.version, 3);
         assert_eq!(c.label, "trained");
+    }
+
+    #[test]
+    fn workers_reply_to_every_task_and_drain_on_close() {
+        use crate::batcher::{GenRequest, Responder};
+        use sqlgen_core::Constraint;
+        let db = sqlgen_storage::gen::tpch_database(0.05, 2);
+        let config = sqlgen_core::GenConfig::fast().with_seed(11);
+        let schema = Arc::new(Schema::build("t", &db, &config, None));
+        let pool = ShardPool::new(1, 16);
+        let mut rxs = Vec::new();
+        for seed in 0..5u64 {
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
+            let task = GenTask {
+                req: GenRequest {
+                    schema: String::new(),
+                    constraint: Constraint::cardinality_range(1.0, 500.0),
+                    n: 2,
+                    seed,
+                    timeout_ms: None,
+                },
+                deadline: None,
+                enqueued: Instant::now(),
+                reply: Responder::Channel(tx),
+                trace: None,
+            };
+            pool.try_push(&schema, task).map_err(|(e, _)| e).unwrap();
+            rxs.push(rx);
+        }
+        assert_eq!(pool.depth(), 5);
+        // Close before starting: the workers must still drain queued work.
+        pool.close();
+        let cfg = BatcherConfig {
+            lanes: 4,
+            max_wait: Duration::from_millis(2),
+            max_batch_jobs: 8,
+        };
+        for worker in pool.spawn_workers(&cfg, false) {
+            worker.join().unwrap();
+        }
+        for rx in rxs {
+            let out = rx.try_recv().expect("queued task answered before join");
+            assert_eq!(out.queries.len() + out.expired, 2);
+            assert_eq!(out.model_label, "builtin");
+        }
+        assert_eq!(pool.depth(), 0);
     }
 
     fn ring_index(pool: &ShardPool, schema: &str) -> usize {

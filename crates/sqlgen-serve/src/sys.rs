@@ -6,8 +6,8 @@
 //! `extern "C"` bindings against the C library every Rust binary on this
 //! target already links. Everything is wrapped in small RAII types so the
 //! rest of the crate never touches a raw fd. Non-Linux builds compile this
-//! module out and [`crate::server::serve`] falls back to the thread-pool
-//! backend.
+//! module out, and there [`crate::server::serve`] returns
+//! `ErrorKind::Unsupported`.
 
 #![cfg(target_os = "linux")]
 

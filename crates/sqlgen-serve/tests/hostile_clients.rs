@@ -17,14 +17,13 @@ const SEED: u64 = 11;
 fn start_server(config: ServeConfig) -> ServerHandle {
     let db = tpch_database(0.05, 2);
     let gen_config = GenConfig::fast().with_seed(SEED);
-    let schema = sqlgen_serve::Schema::build("tpch", &db, &gen_config, None, 64);
+    let schema = sqlgen_serve::Schema::build("tpch", &db, &gen_config, None);
     serve(config, vec![schema]).expect("bind ephemeral port")
 }
 
 fn base_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        threads: 2,
         batch: 4,
         ..ServeConfig::default()
     }

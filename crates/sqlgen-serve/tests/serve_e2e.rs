@@ -4,24 +4,22 @@
 
 use sqlgen_core::{Constraint, GenConfig, LearnedSqlGen};
 use sqlgen_serve::client::{self, Client};
-use sqlgen_serve::{serve, GenRequest, GenTask, ServeConfig, ServerHandle};
+use sqlgen_serve::{serve, ServeConfig, ServerHandle};
 use sqlgen_storage::gen::tpch_database;
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SEED: u64 = 11;
 
-fn start_server_with(batch: usize, max_queue: usize, legacy_pool: bool) -> ServerHandle {
+fn start_named_server(schema: &str, batch: usize, max_queue: usize) -> ServerHandle {
     let db = tpch_database(0.05, 2);
     let config = GenConfig::fast().with_seed(SEED);
-    let schema = sqlgen_serve::Schema::build("tpch", &db, &config, None, max_queue);
+    let schema = sqlgen_serve::Schema::build(schema, &db, &config, None);
     serve(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: 2,
             batch,
+            max_queue,
             read_timeout_ms: 2_000,
-            legacy_pool,
             ..ServeConfig::default()
         },
         vec![schema],
@@ -30,7 +28,7 @@ fn start_server_with(batch: usize, max_queue: usize, legacy_pool: bool) -> Serve
 }
 
 fn start_server(batch: usize, max_queue: usize) -> ServerHandle {
-    start_server_with(batch, max_queue, false)
+    start_named_server("tpch", batch, max_queue)
 }
 
 #[test]
@@ -93,6 +91,10 @@ fn keep_alive_serves_multiple_requests_per_connection() {
         "{metrics}"
     );
     assert!(metrics.contains("serve_batch_jobs"), "{metrics}");
+    assert!(
+        metrics.contains(r#"serve_queue_depth{shard="0"}"#),
+        "{metrics}"
+    );
     sqlgen_obs::validate_exposition(&metrics).expect("exposition-valid /metrics");
     server.shutdown();
 }
@@ -205,11 +207,10 @@ fn every_response_carries_request_id_and_adopts_inbound_traceparent() {
 fn forced_504_trace_is_retained_with_tiled_phases() {
     let db = tpch_database(0.05, 2);
     let config = GenConfig::fast().with_seed(SEED);
-    let schema = sqlgen_serve::Schema::build("tpch", &db, &config, None, 64);
+    let schema = sqlgen_serve::Schema::build("tpch", &db, &config, None);
     let server = serve(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: 2,
             batch: 4,
             max_wait_ms: 50,
             read_timeout_ms: 2_000,
@@ -279,89 +280,37 @@ fn forced_504_trace_is_retained_with_tiled_phases() {
 }
 
 #[test]
-fn graceful_shutdown_drains_queued_work_and_closes_listener() {
-    // Legacy pool: this test pushes straight onto the per-schema queue,
-    // which only the legacy batcher threads drain (the event backend
-    // admits through shard queues instead; see the event drain test).
-    let server = start_server_with(4, 64, true);
+fn in_flight_requests_are_answered_across_shutdown() {
+    // A schema name no other test uses, so its phase series counts only
+    // this test's request.
+    let server = start_named_server("drain", 4, 64);
     let addr = server.addr();
-    let schema = server.schema("tpch").unwrap();
-    // Queue work directly, then shut down: every admitted task must still
-    // get a reply (drain, not abort).
-    let mut rxs = Vec::new();
-    for seed in 0..4u64 {
-        let (tx, rx) = mpsc::sync_channel(1);
-        schema
-            .queue
-            .try_push(GenTask {
-                req: GenRequest {
-                    schema: String::new(),
-                    constraint: Constraint::cardinality_range(1.0, 500.0),
-                    n: 2,
-                    seed,
-                    timeout_ms: None,
-                },
-                deadline: None,
-                enqueued: Instant::now(),
-                reply: sqlgen_serve::Responder::Channel(tx),
-                trace: None,
-            })
-            .map_err(|(e, _)| e)
-            .unwrap();
-        rxs.push(rx);
-    }
-    server.shutdown();
-    for rx in rxs {
-        let out = rx.try_recv().expect("queued task drained before join");
-        assert_eq!(out.queries.len() + out.expired, 2);
-    }
-    // New work is refused: the queue is closed and the listener is gone.
-    assert!(schema.queue.is_closed());
-    let refused = match std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-        Err(_) => true,
-        Ok(s) => {
-            // Some platforms accept briefly from the backlog; the
-            // connection must be dead either way.
-            use std::io::{Read, Write};
-            let _ = s.shutdown(std::net::Shutdown::Both);
-            drop(s);
-            let mut probe = Vec::new();
-            match std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-                Err(_) => true,
-                Ok(mut s2) => {
-                    let _ = s2.set_read_timeout(Some(Duration::from_millis(500)));
-                    let _ = s2.write_all(b"GET /healthz HTTP/1.1\r\n\r\n");
-                    matches!(s2.read_to_end(&mut probe), Ok(0) | Err(_)) || probe.is_empty()
-                }
-            }
-        }
-    };
-    assert!(refused, "listener still serving after shutdown");
-}
-
-#[test]
-fn event_backend_drains_in_flight_requests_on_shutdown() {
-    let server = start_server(4, 64);
-    let addr = server.addr();
-    // Admit a request over HTTP, then shut down while it may still be in
-    // a shard queue or window: drain semantics say it completes.
     let worker = std::thread::spawn(move || {
         client::request(
             addr,
             "POST",
             "/generate",
-            Some(r#"{"constraint":{"min":1,"max":500},"n":8,"seed":13}"#),
+            Some(r#"{"schema":"drain","constraint":{"min":1,"max":500},"n":8,"seed":13}"#),
         )
         .expect("in-flight request answered across shutdown")
     });
-    std::thread::sleep(Duration::from_millis(100));
+    // Shut down only once a shard has taken the request into a window:
+    // drain semantics say it completes and its response is written.
+    let labels = sqlgen_obs::Labels::new()
+        .with("schema", "drain")
+        .with("batch_width", "4");
+    let started =
+        sqlgen_obs::metrics::global().histogram_with("serve.phase.queue_wait_us", &labels);
+    while started.count() == 0 {
+        assert!(!worker.is_finished(), "request ended before its window");
+        std::thread::yield_now();
+    }
     server.shutdown();
     let (status, body) = worker.join().unwrap();
     assert_eq!(status, 200, "{body}");
     let v = serde_json::from_str::<serde_json::Value>(&body).unwrap();
     assert_eq!(v.get("expired").unwrap().as_u64(), Some(0));
     // The listener is gone: a fresh connect must fail or yield nothing.
-    std::thread::sleep(Duration::from_millis(50));
     if let Ok(mut s) = std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(300)) {
         use std::io::{Read, Write};
         let _ = s.set_read_timeout(Some(Duration::from_millis(300)));

@@ -253,7 +253,7 @@ impl TableStats {
         }
     }
 
-    /// Builds stats through the backend-neutral [`TableRead`] interface.
+    /// Builds stats through the backend-neutral [`TableRead`](crate::cursor::TableRead) interface.
     ///
     /// Columns longer than `row_cap` are systematically sampled (every
     /// `stride`-th row) so huge paged tables never materialize in memory;

@@ -1,7 +1,7 @@
 //! One-shot fixture dumper: records the exact token streams the pre-kernel
 //! code produces for fixed seeds. The output is committed as
 //! `crates/sqlgen-rl/tests/fixtures/golden_tokens.json` and guarded by the
-//! determinism tests — `threads = 1` must reproduce it bit-for-bit.
+//! determinism tests — the serial path must reproduce it bit-for-bit.
 
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;

@@ -4,10 +4,10 @@
 //! sqlgen --benchmark tpch --range 1000 2000 --n 10
 //! sqlgen --benchmark job --metric cost --point 500 --train 800 --profile
 //! sqlgen --benchmark xuetang --range 10 500 --kinds select,delete --execute
-//! sqlgen --benchmark tpch --range 1000 2000 --save model.json
-//! sqlgen --benchmark tpch --range 1000 2000 --load model.json --train 0
+//! sqlgen --benchmark tpch --range 1000 2000 --save policy-v1.ckpt
+//! sqlgen --benchmark tpch --range 1000 2000 --load policy-v1.ckpt --train 0
 //! sqlgen --benchmark tpch --range 1000 2000 --trace run.jsonl --metrics
-//! sqlgen serve --addr 127.0.0.1:8080 --threads 4 --batch 8 --max-queue 64
+//! sqlgen serve --addr 127.0.0.1:8080 --batch 8 --max-queue 64
 //! ```
 
 use learned_sqlgen::core::{profile, Constraint, ExecBudget, ExecDb, GenConfig, LearnedSqlGen};
@@ -28,7 +28,6 @@ struct Args {
     range: Option<(f64, f64)>,
     n: usize,
     train: usize,
-    threads: usize,
     batch: usize,
     quant: bool,
     kinds: Option<Vec<StatementKind>>,
@@ -57,7 +56,6 @@ FLAGS:
   --metric <card|cost>    constrained metric (default: card)
   --n <count>             queries to generate (default: 10)
   --train <episodes>      RL training episodes (default: 500; 0 with --load)
-  --threads <workers>     rollout worker threads (default: 1 = exact serial)
   --batch <lanes>         lockstep inference lanes (default: 1 = exact serial)
   --quant                 run inference on an int8 quantized weight snapshot
   --scale <sf>            data scale factor (default: 0.3)
@@ -66,8 +64,8 @@ FLAGS:
   --only-satisfied        keep generating until --n satisfied queries
   --execute               also report the real (executed) cardinality
   --profile               print a diversity/complexity profile
-  --save <path>           save the trained actor as JSON
-  --load <path>           load an actor checkpoint before generating
+  --save <path>           save the trained policy as a versioned checkpoint
+  --load <path>           load a versioned checkpoint before generating
   --db-file <path>        run against a paged database image (from
                           `sqlgen builddb`) instead of regenerating data
   --reward <est|exec>     cardinality reward signal: histogram estimates
@@ -88,7 +86,6 @@ fn parse_args() -> Args {
         range: None,
         n: 10,
         train: 500,
-        threads: 1,
         batch: 1,
         quant: false,
         kinds: None,
@@ -137,12 +134,6 @@ fn parse_args() -> Args {
             }
             "--n" => args.n = value("--n").parse().unwrap_or_else(|_| fail("--n")),
             "--train" => args.train = value("--train").parse().unwrap_or_else(|_| fail("--train")),
-            "--threads" => {
-                args.threads = value("--threads")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| fail("--threads"))
-                    .max(1)
-            }
             "--batch" => {
                 args.batch = value("--batch")
                     .parse::<usize>()
@@ -241,12 +232,11 @@ FLAGS:
   --cache-mb <mib>        result-cache budget per schema, MiB; 0 disables
                           caching (default: 64)
   --pin-cpus              pin shard workers to CPUs round-robin
-  --legacy-pool           use the pre-event-loop thread-per-connection pool
-  --threads <workers>     HTTP worker threads, legacy pool only (default: 4)
   --batch <lanes>         lockstep GEMM lanes per generation window (default: 8)
   --quant                 serve int8 quantized snapshots of every model
-  --max-queue <n>         admission queue capacity; beyond it 429 (default: 64)
-  --max-wait-ms <ms>      batcher window coalescing wait (default: 5)
+  --max-queue <n>         admission queue capacity per shard; beyond it 429
+                          (default: 64)
+  --max-wait-ms <ms>      shard window coalescing wait (default: 5)
   --benchmark <name>      served schema: tpch|job|xuetang (default: tpch)
   --scale <sf>            data scale factor (default: 0.3)
   --seed <u64>            RNG seed (default: 42)
@@ -302,12 +292,6 @@ fn serve_main(argv: Vec<String>) -> ! {
         };
         match flag.as_str() {
             "--addr" => config.addr = value("--addr"),
-            "--threads" => {
-                config.threads = value("--threads")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| fail("--threads"))
-                    .max(1)
-            }
             "--batch" => {
                 config.batch = value("--batch")
                     .parse::<usize>()
@@ -343,7 +327,6 @@ fn serve_main(argv: Vec<String>) -> ! {
                     .unwrap_or_else(|_| fail("--cache-mb"))
             }
             "--pin-cpus" => config.pin_cpus = true,
-            "--legacy-pool" => config.legacy_pool = true,
             "--benchmark" => {
                 benchmark = value("--benchmark")
                     .parse()
@@ -439,7 +422,6 @@ fn serve_main(argv: Vec<String>) -> ! {
         &db,
         &gen_config,
         model_dir.map(std::path::PathBuf::from),
-        config.max_queue,
     );
 
     if train > 0 {
@@ -461,7 +443,7 @@ fn serve_main(argv: Vec<String>) -> ! {
 
     let addr = config.addr.clone();
     let handle = learned_sqlgen::serve::serve(config, vec![schema]).unwrap_or_else(|e| {
-        obs_error!("cannot bind {addr}: {e}");
+        obs_error!("cannot serve on {addr}: {e}");
         exit(1);
     });
     obs_info!("serving on http://{}", handle.addr());
@@ -628,7 +610,6 @@ fn main() {
 
     let mut config = GenConfig::default()
         .with_seed(args.seed)
-        .with_threads(args.threads)
         .with_batch_size(args.batch)
         .with_quantize(args.quant);
     if let Some(kinds) = &args.kinds {
@@ -640,15 +621,15 @@ fn main() {
     let mut generator = LearnedSqlGen::from_exec_db(exec_db.clone(), constraint, config);
 
     if let Some(path) = &args.load {
-        let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             obs_error!("cannot read {path}: {e}");
             exit(1);
         });
-        generator.load_actor(&json).unwrap_or_else(|e| {
+        generator.load_checkpoint(&text).unwrap_or_else(|e| {
             obs_error!("bad checkpoint {path}: {e}");
             exit(1);
         });
-        obs_info!("loaded actor from {path}");
+        obs_info!("loaded checkpoint from {path}");
     }
 
     let train = if args.load.is_some() && args.train == 500 {
