@@ -11,7 +11,8 @@ pub struct HarnessArgs {
     pub seed: u64,
     /// Training episodes for the learned method.
     pub train: usize,
-    /// Lockstep inference lanes (1 = exact serial behaviour).
+    /// Lockstep training and inference lanes (1 = one lane on the
+    /// trainer's own RNG).
     pub batch: usize,
     /// Quick mode: shrink everything for a smoke run.
     pub quick: bool,
@@ -139,7 +140,7 @@ mod tests {
         assert!((a.scale - 1.5).abs() < 1e-12);
         assert_eq!(a.batch, 1);
         assert_eq!(parse(&["--batch", "8"]).batch, 8);
-        // 0 is clamped to the serial path rather than rejected.
+        // 0 is clamped to one lane rather than rejected.
         assert_eq!(parse(&["--batch", "0"]).batch, 1);
     }
 

@@ -1,8 +1,8 @@
 //! Throughput benchmark for the RL pipeline.
 //!
-//! Measures training throughput (episodes/sec, tokens/sec) on the serial
-//! path and across a lane-batched training sweep (batched BPTT at batch
-//! 4/8/16), and inference throughput (queries/sec, tokens/sec) with a warm
+//! Measures training throughput (episodes/sec, tokens/sec) at batch 1 (one
+//! lane, one update per episode; the `serial` rows) and across a
+//! lane-batched training sweep (batched BPTT at batch 4/8/16), and inference throughput (queries/sec, tokens/sec) with a warm
 //! policy across a batch-size sweep — plus p50/p95 per-token step latency
 //! from the `rl.step.latency_us` histogram. The histogram is reset between
 //! phases and every phase row records the machine's hardware thread count
@@ -36,7 +36,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 struct TrainPhase {
-    /// Lockstep training lanes (batched BPTT); 1 = serial updates.
+    /// Lockstep training lanes (batched BPTT); 1 = one update per episode.
     batch: usize,
     hardware_threads: usize,
     seconds: f64,

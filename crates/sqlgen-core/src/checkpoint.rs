@@ -165,13 +165,20 @@ impl Checkpoint {
     }
 }
 
-/// Writes `contents` to `path` atomically (tmp file in the same directory +
-/// `rename`), so concurrent readers see either the old file or the new one,
-/// never a torn write.
+/// Writes `contents` to `path` atomically (tmp file in the same directory,
+/// fsync, then `rename`), so concurrent readers see either the old file or
+/// the new one, never a torn write.
 pub fn write_atomic(path: &Path, contents: &str) -> Result<(), CheckpointError> {
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path).map_err(|e| {
+    let written = (|| {
+        let mut file = std::fs::File::create(&tmp)?;
+        std::io::Write::write_all(&mut file, contents.as_bytes())?;
+        // Durable before it becomes visible: a crash after the rename must
+        // not expose a file whose contents never reached the disk.
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    written.map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
         CheckpointError::Io(e.to_string())
     })

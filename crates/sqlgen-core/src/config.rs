@@ -26,13 +26,15 @@ pub struct GenConfig {
     pub algorithm: Algorithm,
     /// Default number of training episodes used by `train_default`.
     pub default_train_episodes: usize,
-    /// Lockstep GEMM lanes for batched inference. `1` (the default) keeps
-    /// the exact single-stream rollout sequence — bit-identical results
-    /// for a fixed seed. Values > 1 advance that many rollouts per step
-    /// through batched kernels with continuous lane refill; each
-    /// `(seed, batch_size)` pair is reproducible. `batch_size > 1` also selects lane-batched training (batched BPTT
-    /// with one accumulated gradient step per round of `batch_size`
-    /// episodes; see `sqlgen_rl::train_batch`).
+    /// Lockstep GEMM lanes for training and inference; every width runs
+    /// on the same lane engines. `1` (the default) is one lane on the
+    /// trainer's own RNG: one update per episode, the single-stream
+    /// sequence the golden fixtures pin. Values > 1 advance that many
+    /// rollouts per step through batched kernels (continuous lane refill
+    /// for inference; batched BPTT with one accumulated gradient step per
+    /// round of `batch_size` episodes for training, see
+    /// `sqlgen_rl::train_batch`); each `(seed, batch_size)` pair is
+    /// reproducible.
     pub batch_size: usize,
     /// Run inference on an int8 per-output-channel quantized snapshot of
     /// the actor (see `sqlgen_nn::quant`). `false` (the default) keeps the
@@ -184,7 +186,7 @@ mod tests {
         assert_eq!(c.batch_size, 8);
         assert!(c.quantize);
         assert!(!GenConfig::default().quantize);
-        // batch_size must never be 0, and defaults to the serial path.
+        // batch_size must never be 0, and defaults to one lane.
         assert_eq!(GenConfig::default().batch_size, 1);
         assert_eq!(GenConfig::fast().with_batch_size(0).batch_size, 1);
     }

@@ -225,18 +225,20 @@ impl LearnedSqlGen {
         )
     }
 
-    /// Overrides the inference batch width (lockstep GEMM lanes); used by
-    /// the benchmark sweep. `1` restores the serial path.
+    /// Overrides the batch width (lockstep GEMM lanes) of later training
+    /// and generation; used by the benchmark sweep. `1` runs one lane on
+    /// the trainer's own RNG — the configuration the golden fixtures pin.
     pub fn set_batch_size(&mut self, batch_size: usize) {
         self.config.batch_size = batch_size.max(1);
     }
 
     /// Trains for `episodes` episodes (Algorithm 1 / Algorithm 3).
     ///
-    /// With `config.batch_size > 1` rollouts advance in lockstep GEMM
-    /// lanes and updates use batched BPTT with one accumulated gradient
-    /// step per round of `batch_size` episodes. Otherwise this is the
-    /// exact serial sequence, one update per episode.
+    /// Rollouts advance in lockstep GEMM lanes and updates use batched
+    /// BPTT with one accumulated gradient step per round of
+    /// `config.batch_size` episodes. At `batch_size = 1` a round is one
+    /// episode on the trainer's own RNG and one update — the sequence the
+    /// golden fixtures pin.
     pub fn train(&mut self, episodes: usize) -> &TrainStats {
         let _span = sqlgen_obs::obs_span!("gen.train");
         let started = std::time::Instant::now();
@@ -364,7 +366,7 @@ impl LearnedSqlGen {
         let mut out = Vec::with_capacity(n);
         let mut attempts = 0;
         // Attempts proceed one lockstep lane width at a time (still within
-        // the budget); batch_size = 1 reproduces the serial loop.
+        // the budget); batch_size = 1 is one attempt per call.
         let chunk = self.config.batch_size.max(1);
         while out.len() < n && attempts < max_attempts {
             let batch = chunk.min(max_attempts - attempts);
@@ -599,10 +601,10 @@ impl LearnedSqlGen {
     }
 }
 
-/// Draws `n` raw policy samples from the trainer's RNG stream. With a
-/// quantized snapshot all generation runs through the lockstep engine on
-/// the int8 actor. Otherwise `batch > 1` selects the lockstep GEMM engine
-/// on f32, and `batch = 1` preserves the legacy serial path bit-for-bit.
+/// Draws `n` raw policy samples from the trainer's RNG stream through the
+/// lockstep engine, on the int8 snapshot when there is one and on the f32
+/// actor otherwise. `batch = 1` runs one lane on the trainer's own RNG;
+/// wider batches draw one base seed from it (see `sqlgen_rl::LaneSeeds`).
 fn roll_episodes(
     trainer: &mut Trainer,
     quant: Option<&QuantizedActor>,

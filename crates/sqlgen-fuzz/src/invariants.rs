@@ -412,14 +412,17 @@ pub fn check_fsm_closure(rng: &mut StdRng) -> CheckResult {
 }
 
 /// (f) Batch equivalence: batched lockstep generation at B ∈ {2, 4, 8}
-/// yields per-lane token streams identical to serial runs seeded with the
-/// same lane seeds (`base ^ lane`), including across continuous lane
-/// refills, and every emitted query still passes the fsm-closure checks
-/// (render → parse → re-render fixpoint → validate → execute).
+/// yields per-lane token streams identical to reference `run_episode`
+/// (`train = false`) loops seeded with the same lane seeds (`base ^ lane`),
+/// including across continuous lane refills; at B = 1 the one lane runs on
+/// the caller's own RNG and hands it back advanced exactly as far as the
+/// reference loop advances it. Every emitted query still passes the
+/// fsm-closure checks (render → parse → re-render fixpoint → validate →
+/// execute).
 pub fn check_batch_equivalence(rng: &mut StdRng) -> CheckResult {
     use sqlgen_rl::{
-        run_episode_infer, worker_seed, ActorNet, BatchRollout, Constraint, InferRollout,
-        NetConfig, SqlGenEnv,
+        run_episode, worker_seed, ActorNet, BatchRollout, Constraint, LaneSeeds, NetConfig,
+        SqlGenEnv,
     };
     let db = dbgen::random_database(rng, &DbProfile::parseable());
     let vocab = Vocabulary::build(
@@ -446,9 +449,15 @@ pub fn check_batch_equivalence(rng: &mut StdRng) -> CheckResult {
     let base: u64 = rng.random();
     let mut checks = 0;
     let mut ro = BatchRollout::new();
-    for &batch in &[2usize, 4, 8] {
+    for &batch in &[1usize, 2, 4, 8] {
         let n = batch + 2; // more jobs than lanes: exercises lane refill
-        let tagged = ro.collect_tagged(&actor, &env, n, batch, base);
+        let mut own = StdRng::seed_from_u64(base);
+        let seeds = if batch == 1 {
+            LaneSeeds::Own(&mut own)
+        } else {
+            LaneSeeds::Base(base)
+        };
+        let tagged = ro.collect_tagged(&actor, &env, n, batch, seeds);
         if tagged.len() != n {
             return Err(CheckFail::new(format!(
                 "batch {batch}: collected {} episodes, wanted {n}",
@@ -458,10 +467,14 @@ pub fn check_batch_equivalence(rng: &mut StdRng) -> CheckResult {
         for lane in 0..batch.min(n) {
             let mut lane_eps: Vec<_> = tagged.iter().filter(|(_, l, _)| *l == lane).collect();
             lane_eps.sort_by_key(|(job, _, _)| *job);
-            let mut lane_rng = StdRng::seed_from_u64(worker_seed(base, lane));
-            let mut iro = InferRollout::new();
+            let lane_seed = if batch == 1 {
+                base
+            } else {
+                worker_seed(base, lane)
+            };
+            let mut lane_rng = StdRng::seed_from_u64(lane_seed);
             for (job, _, ep) in lane_eps {
-                let serial = run_episode_infer(&actor, &env, &mut lane_rng, &mut iro);
+                let serial = run_episode(&actor, &env, false, &mut lane_rng);
                 if ep.actions != serial.actions {
                     return Err(CheckFail::new(format!(
                         "batch {batch} lane {lane} job {job}: batched tokens diverge \
@@ -470,6 +483,12 @@ pub fn check_batch_equivalence(rng: &mut StdRng) -> CheckResult {
                     )));
                 }
                 checks += 1;
+            }
+            if batch == 1 && own.random::<u64>() != lane_rng.random::<u64>() {
+                return Err(CheckFail::new(format!(
+                    "batch 1: the caller's RNG came back at a different point \
+                     than the reference loop's after {n} episodes"
+                )));
             }
         }
         for (_, _, ep) in &tagged {

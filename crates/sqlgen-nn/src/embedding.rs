@@ -64,9 +64,17 @@ impl Embedding {
         Mat::zeros(self.vocab_size(), self.dim())
     }
 
-    /// Reduces one lane's table-gradient buffer into `Param::grad`.
-    pub fn accumulate_grads(&mut self, grads: &Mat) {
-        self.table.grad.add_assign(grads);
+    /// Sets `Param::grad` to the sum of the lane buffers in ascending lane
+    /// order. Lane 0's buffer is swapped in, not added to a zeroed
+    /// gradient: bitwise the same sum, since 0 + g = g and a buffer built
+    /// by `+=` from +0.0 never holds −0.0. Lane 0's buffer comes back
+    /// holding the previous gradient, so callers zero buffers before reuse.
+    pub fn reduce_grads(&mut self, lanes: &mut [Mat]) {
+        let (first, rest) = lanes.split_first_mut().expect("at least one lane");
+        std::mem::swap(&mut self.table.grad, first);
+        for g in rest {
+            self.table.grad.add_assign(g);
+        }
     }
 
     pub fn params_mut(&mut self) -> Vec<&mut Param> {

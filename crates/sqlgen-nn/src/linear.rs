@@ -104,49 +104,17 @@ impl Linear {
         }
     }
 
-    /// Reduces one lane's gradient buffers into `Param::grad`. Callers
-    /// reduce lanes in ascending lane order for a deterministic sum.
-    pub fn accumulate_grads(&mut self, grads: &LinearGrads) {
-        self.w.grad.add_assign(&grads.w);
-        self.b.grad.add_assign(&grads.b);
-    }
-
-    /// Lane-batched backward: `x` is the `[batch × in]` forward input
-    /// block, `dy` the `[batch × out]` output gradients (**inactive lanes
-    /// must be zeroed by the caller**), `dx` receives `[batch × in]` input
-    /// gradients. Parameter gradients go to the per-lane buffers in
-    /// `grads` with the exact op sequence of [`Linear::backward_into`]
-    /// (rank-1 update, then bias add), and `dx` comes from the batched
-    /// [`Mat::matvec_t_batch`] kernel — bit-identical per lane to a
-    /// serial backward. Lanes not marked `active` skip the parameter
-    /// accumulation entirely.
-    pub fn backward_batch_into(
-        &self,
-        x: &[f32],
-        dy: &[f32],
-        batch: usize,
-        active: &[bool],
-        grads: &mut [LinearGrads],
-        dx: &mut [f32],
-    ) {
-        let (out, inp) = (self.output_dim(), self.input_dim());
-        debug_assert_eq!(x.len(), batch * inp);
-        debug_assert_eq!(dy.len(), batch * out);
-        debug_assert_eq!(dx.len(), batch * inp);
-        debug_assert_eq!(grads.len(), batch);
-        for lane in 0..batch {
-            if !active[lane] {
-                debug_assert!(dy[lane * out..(lane + 1) * out].iter().all(|&v| v == 0.0));
-                continue;
-            }
-            let dyl = &dy[lane * out..(lane + 1) * out];
-            let xl = &x[lane * inp..(lane + 1) * inp];
-            grads[lane].w.add_outer(dyl, xl);
-            for (g, d) in grads[lane].b.data.iter_mut().zip(dyl) {
-                *g += d;
-            }
+    /// Sets `Param::grad` to the sum of the lane buffers in ascending lane
+    /// order, swapping lane 0's buffers in (see
+    /// [`Embedding::reduce_grads`](crate::Embedding::reduce_grads)).
+    pub fn reduce_grads(&mut self, lanes: &mut [LinearGrads]) {
+        let (first, rest) = lanes.split_first_mut().expect("at least one lane");
+        std::mem::swap(&mut self.w.grad, &mut first.w);
+        std::mem::swap(&mut self.b.grad, &mut first.b);
+        for g in rest {
+            self.w.grad.add_assign(&g.w);
+            self.b.grad.add_assign(&g.b);
         }
-        self.w.value.matvec_t_batch(dy, batch, dx);
     }
 
     /// Prefix-compacted lane-batched backward: physical slot `p` hosts

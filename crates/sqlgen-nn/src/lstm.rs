@@ -24,11 +24,6 @@ impl LstmState {
             c: vec![0.0; hidden],
         }
     }
-
-    pub fn reset(&mut self) {
-        self.h.iter_mut().for_each(|v| *v = 0.0);
-        self.c.iter_mut().for_each(|v| *v = 0.0);
-    }
 }
 
 /// Hidden states for `batch` independent lanes across a whole stack,
@@ -301,7 +296,7 @@ impl LstmLayer {
     /// are the layer's `[batch × hidden]` state planes (read as previous,
     /// overwritten with the new state), `x` is `[batch × input]` and `z`
     /// is gate scratch of `[batch × 4·hidden]`. Per lane the elementwise
-    /// gate math matches [`LstmLayer::infer_step_into`] exactly, so each
+    /// gate math matches [`LstmLayer::forward_step_into`] exactly, so each
     /// lane's trajectory is bit-identical to a serial rollout of that lane.
     pub fn infer_step_batch_into(
         &self,
@@ -331,29 +326,21 @@ impl LstmLayer {
 
     /// One batched **training** step over `batch` lanes: like
     /// [`LstmLayer::infer_step_batch_into`] but records each lane's
-    /// backward cache in `caches[lane]`. Lanes not marked `active` still
-    /// ride through the fused GEMM (their state slots are scratch once
-    /// their episode has ended) but skip the cache write. Per active lane
-    /// the recorded cache and new state are bit-identical to a serial
+    /// backward cache in `caches[lane]`. Per lane the recorded cache and
+    /// new state are bit-identical to a serial
     /// [`LstmLayer::forward_step_into`] on that lane.
-    #[allow(clippy::too_many_arguments)]
     pub fn forward_step_batch_into<C: std::borrow::BorrowMut<LstmCache>>(
         &self,
         x: &[f32],
         h_plane: &mut [f32],
         c_plane: &mut [f32],
         batch: usize,
-        active: &[bool],
         caches: &mut [C],
         z: &mut [f32],
     ) {
         let h = self.hidden;
-        debug_assert_eq!(active.len(), batch);
         debug_assert_eq!(caches.len(), batch);
         for lane in 0..batch {
-            if !active[lane] {
-                continue;
-            }
             let cache = caches[lane].borrow_mut();
             copy_into(&mut cache.x, &x[lane * self.input..(lane + 1) * self.input]);
             copy_into(&mut cache.h_prev, &h_plane[lane * h..(lane + 1) * h]);
@@ -364,38 +351,26 @@ impl LstmLayer {
             let zl = &z[lane * 4 * h..(lane + 1) * 4 * h];
             let hl = &mut h_plane[lane * h..(lane + 1) * h];
             let cl = &mut c_plane[lane * h..(lane + 1) * h];
-            if active[lane] {
-                let cache = caches[lane].borrow_mut();
-                ensure_len(&mut cache.i, h);
-                ensure_len(&mut cache.f, h);
-                ensure_len(&mut cache.g, h);
-                ensure_len(&mut cache.o, h);
-                ensure_len(&mut cache.tanh_c, h);
-                for k in 0..h {
-                    let i = sigmoid(zl[k]);
-                    let f = sigmoid(zl[h + k]);
-                    let g = zl[2 * h + k].tanh();
-                    let o = sigmoid(zl[3 * h + k]);
-                    let c = f * cache.c_prev[k] + i * g;
-                    let tc = c.tanh();
-                    cache.i[k] = i;
-                    cache.f[k] = f;
-                    cache.g[k] = g;
-                    cache.o[k] = o;
-                    cache.tanh_c[k] = tc;
-                    cl[k] = c;
-                    hl[k] = o * tc;
-                }
-            } else {
-                for k in 0..h {
-                    let i = sigmoid(zl[k]);
-                    let f = sigmoid(zl[h + k]);
-                    let g = zl[2 * h + k].tanh();
-                    let o = sigmoid(zl[3 * h + k]);
-                    let c = f * cl[k] + i * g;
-                    cl[k] = c;
-                    hl[k] = o * c.tanh();
-                }
+            let cache = caches[lane].borrow_mut();
+            ensure_len(&mut cache.i, h);
+            ensure_len(&mut cache.f, h);
+            ensure_len(&mut cache.g, h);
+            ensure_len(&mut cache.o, h);
+            ensure_len(&mut cache.tanh_c, h);
+            for k in 0..h {
+                let i = sigmoid(zl[k]);
+                let f = sigmoid(zl[h + k]);
+                let g = zl[2 * h + k].tanh();
+                let o = sigmoid(zl[3 * h + k]);
+                let c = f * cache.c_prev[k] + i * g;
+                let tc = c.tanh();
+                cache.i[k] = i;
+                cache.f[k] = f;
+                cache.g[k] = g;
+                cache.o[k] = o;
+                cache.tanh_c[k] = tc;
+                cl[k] = c;
+                hl[k] = o * tc;
             }
         }
     }
@@ -435,23 +410,6 @@ impl LstmLayer {
             cache.tanh_c[k] = tc;
             state.c[k] = c;
             state.h[k] = o * tc;
-        }
-    }
-
-    /// One forward step without a backward cache — the inference fast path.
-    /// `state` is updated in place; `z` is gate scratch of length
-    /// `4 * hidden`. No heap allocations.
-    pub fn infer_step_into(&self, x: &[f32], state: &mut LstmState, z: &mut [f32]) {
-        let h = self.hidden;
-        self.gates_into(x, &state.h, z);
-        for k in 0..h {
-            let i = sigmoid(z[k]);
-            let f = sigmoid(z[h + k]);
-            let g = z[2 * h + k].tanh();
-            let o = sigmoid(z[3 * h + k]);
-            let c = f * state.c[k] + i * g;
-            state.c[k] = c;
-            state.h[k] = o * c.tanh();
         }
     }
 
@@ -605,16 +563,6 @@ impl LstmStack {
             .collect()
     }
 
-    /// Resets `state` to zeros in place, (re)sizing it on first use so a
-    /// single buffer can be recycled across episodes.
-    pub fn reset_state(&self, state: &mut StackState) {
-        if state.len() != self.layers.len() {
-            *state = self.zero_state();
-        } else {
-            state.iter_mut().for_each(LstmState::reset);
-        }
-    }
-
     /// Zeroed batch state for `batch` concurrent lanes.
     pub fn zero_batch_state(&self, batch: usize) -> LstmBatchState {
         LstmBatchState {
@@ -642,7 +590,7 @@ impl LstmStack {
     /// [`LstmStack::batch_scratch_len`]. Layer `l + 1` reads layer `l`'s
     /// `h` plane in place; the top-layer outputs end up in
     /// `state.h.last()`. Lanes never mix: each lane's trajectory is
-    /// bit-identical to running [`LstmStack::infer_step_into`] on that
+    /// bit-identical to running [`LstmStack::forward_step_into`] on that
     /// lane alone.
     pub fn infer_step_batch_into(&self, x: &[f32], state: &mut LstmBatchState, z: &mut [f32]) {
         debug_assert_eq!(state.h.len(), self.layers.len());
@@ -701,14 +649,13 @@ impl LstmStack {
 
     /// One batched **training** step through all layers: like
     /// [`LstmStack::infer_step_batch_into`] but records backward caches in
-    /// `caches[lane][layer]` for every lane marked `active`. Per active
-    /// lane the caches and states are bit-identical to a serial
+    /// `caches[lane][layer]` for every lane. Per lane the caches and
+    /// states are bit-identical to a serial
     /// [`LstmStack::forward_step_into`] on that lane alone.
     pub fn forward_step_batch_into<S: std::borrow::BorrowMut<StackCache>>(
         &self,
         x: &[f32],
         state: &mut LstmBatchState,
-        active: &[bool],
         caches: &mut [S],
         z: &mut [f32],
     ) {
@@ -726,7 +673,6 @@ impl LstmStack {
                     &mut state.h[0],
                     &mut state.c[0],
                     batch,
-                    active,
                     &mut lc,
                     z,
                 );
@@ -737,7 +683,6 @@ impl LstmStack {
                     &mut rest[0],
                     &mut state.c[l],
                     batch,
-                    active,
                     &mut lc,
                     z,
                 );
@@ -750,14 +695,23 @@ impl LstmStack {
         self.layers.iter().map(LstmLayer::empty_grads).collect()
     }
 
-    /// Reduces one lane's gradient arena into the stack's `Param::grad`
-    /// buffers. Callers reduce lanes in **ascending lane order** so the
-    /// accumulated sum is deterministic.
-    pub fn accumulate_grads(&mut self, grads: &LstmStackGrads) {
-        for (layer, g) in self.layers.iter_mut().zip(grads) {
-            layer.w_ih.grad.add_assign(&g.w_ih);
-            layer.w_hh.grad.add_assign(&g.w_hh);
-            layer.b.grad.add_assign(&g.b);
+    /// Sets the stack's `Param::grad` buffers to the sum of the lane
+    /// arenas in **ascending lane order** (a deterministic sum), swapping
+    /// lane 0's arena in (see
+    /// [`Embedding::reduce_grads`](crate::Embedding::reduce_grads)).
+    pub fn reduce_grads(&mut self, lanes: &mut [LstmStackGrads]) {
+        let (first, rest) = lanes.split_first_mut().expect("at least one lane");
+        for (layer, g) in self.layers.iter_mut().zip(first.iter_mut()) {
+            std::mem::swap(&mut layer.w_ih.grad, &mut g.w_ih);
+            std::mem::swap(&mut layer.w_hh.grad, &mut g.w_hh);
+            std::mem::swap(&mut layer.b.grad, &mut g.b);
+        }
+        for grads in rest.iter() {
+            for (layer, g) in self.layers.iter_mut().zip(grads) {
+                layer.w_ih.grad.add_assign(&g.w_ih);
+                layer.w_hh.grad.add_assign(&g.w_hh);
+                layer.b.grad.add_assign(&g.b);
+            }
         }
     }
 
@@ -780,7 +734,7 @@ impl LstmStack {
     /// products are batched through [`Mat::matvec_t_batch`] (bit-identical
     /// per lane), so each arena equals a serial backward of that lane
     /// alone — the lane-vs-serial equality tests pin this down. The caller
-    /// then reduces the arenas with [`LstmStack::accumulate_grads`] in
+    /// then reduces the arenas with [`LstmStack::reduce_grads`] in
     /// ascending lane order.
     pub fn backward_sequence_batch_with<'c>(
         &self,
@@ -868,19 +822,6 @@ impl LstmStack {
             }
             for (p, &lane) in order[..n_active].iter().enumerate() {
                 dx_sink(lane, s, &dh_down[p * down_len..(p + 1) * down_len]);
-            }
-        }
-    }
-
-    /// One forward step with no backward caches — the inference fast path.
-    /// The top-layer output is left in `state.last().unwrap().h`.
-    pub fn infer_step_into(&self, x: &[f32], state: &mut StackState, z: &mut [f32]) {
-        for (l, layer) in self.layers.iter().enumerate() {
-            if l == 0 {
-                layer.infer_step_into(x, &mut state[0], z);
-            } else {
-                let (below, rest) = state.split_at_mut(l);
-                layer.infer_step_into(&below[l - 1].h, &mut rest[0], z);
             }
         }
     }
@@ -1144,27 +1085,6 @@ mod tests {
         }
     }
 
-    /// The cacheless inference step and the caching training step must
-    /// produce the same state trajectory.
-    #[test]
-    fn infer_step_matches_forward_step() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let stack = LstmStack::new(6, 8, 2, &mut rng);
-        let mut train_state = stack.zero_state();
-        let mut infer_state = stack.zero_state();
-        let mut caches = stack.empty_cache();
-        let mut z = vec![0.0; stack.scratch_len()];
-        for _ in 0..5 {
-            let x: Vec<f32> = (0..6).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-            stack.forward_step_into(&x, &mut train_state, &mut caches, &mut z);
-            stack.infer_step_into(&x, &mut infer_state, &mut z);
-            for (a, b) in train_state.iter().zip(&infer_state) {
-                assert_eq!(a.h, b.h);
-                assert_eq!(a.c, b.c);
-            }
-        }
-    }
-
     /// Streaming backward must equal the allocating wrapper (which the
     /// finite-difference test already validates).
     #[test]
@@ -1233,7 +1153,7 @@ mod tests {
     }
 
     /// The batched inference step must be bit-identical, per lane, to `B`
-    /// independent serial `infer_step_into` trajectories — the determinism
+    /// independent serial `forward_step` trajectories — the determinism
     /// contract of the batched generation engine.
     #[test]
     fn batch_infer_matches_independent_serial_lanes_bitwise() {
@@ -1244,14 +1164,13 @@ mod tests {
                 let mut bstate = stack.zero_batch_state(batch);
                 let mut serial: Vec<StackState> = (0..batch).map(|_| stack.zero_state()).collect();
                 let mut z = vec![0.0; stack.batch_scratch_len(batch)];
-                let mut zs = vec![0.0; stack.scratch_len()];
                 for _ in 0..5 {
                     let x: Vec<f32> = (0..batch * input)
                         .map(|_| rng.random_range(-1.0f32..1.0))
                         .collect();
                     stack.infer_step_batch_into(&x, &mut bstate, &mut z);
                     for (lane, st) in serial.iter_mut().enumerate() {
-                        stack.infer_step_into(&x[lane * input..(lane + 1) * input], st, &mut zs);
+                        stack.forward_step(&x[lane * input..(lane + 1) * input], st);
                         for (l, layer) in st.iter().enumerate() {
                             assert_eq!(bstate.lane_h(l, lane), &layer.h[..], "h lane {lane}");
                             assert_eq!(bstate.lane_c(l, lane), &layer.c[..], "c lane {lane}");
@@ -1273,7 +1192,6 @@ mod tests {
         let mut bstate = stack.zero_batch_state(batch);
         let mut serial: Vec<StackState> = (0..batch).map(|_| stack.zero_state()).collect();
         let mut z = vec![0.0; stack.batch_scratch_len(batch)];
-        let mut zs = vec![0.0; stack.scratch_len()];
         let xs: Vec<Vec<f32>> = (0..6)
             .map(|_| {
                 (0..batch * input)
@@ -1289,7 +1207,7 @@ mod tests {
             }
             stack.infer_step_batch_into(x, &mut bstate, &mut z);
             for (lane, st) in serial.iter_mut().enumerate() {
-                stack.infer_step_into(&x[lane * input..(lane + 1) * input], st, &mut zs);
+                stack.forward_step(&x[lane * input..(lane + 1) * input], st);
                 for (l, layer) in st.iter().enumerate() {
                     assert_eq!(bstate.lane_h(l, lane), &layer.h[..], "t {t} lane {lane}");
                     assert_eq!(bstate.lane_c(l, lane), &layer.c[..], "t {t} lane {lane}");
@@ -1370,21 +1288,27 @@ mod tests {
                 })
                 .collect();
 
-            // Batched forward with ragged active flags.
+            // Batched forward over the live lanes only: slots ordered by
+            // descending length, so finished lanes are a suffix that is
+            // truncated away before each step.
+            let order = ragged_order(&steps);
             let mut bstate = stack.zero_batch_state(batch);
             let mut arena: Vec<Vec<StackCache>> = (0..batch)
                 .map(|lane| (0..steps[lane]).map(|_| stack.empty_cache()).collect())
                 .collect();
             let mut z = vec![0.0; stack.batch_scratch_len(batch)];
             for (t, x) in xs.iter().enumerate() {
-                let active: Vec<bool> = steps.iter().map(|&n| t < n).collect();
-                // Collect this step's cache slot per active lane.
-                let mut slots: Vec<StackCache> = (0..batch).map(|_| stack.empty_cache()).collect();
-                stack.forward_step_batch_into(x, &mut bstate, &active, &mut slots, &mut z);
-                for (lane, slot) in slots.into_iter().enumerate() {
-                    if active[lane] {
-                        arena[lane][t] = slot;
-                    }
+                let live = order.iter().take_while(|&&l| t < steps[l]).count();
+                bstate.truncate_lanes(live);
+                let xp: Vec<f32> = order[..live]
+                    .iter()
+                    .flat_map(|&lane| x[lane * input..(lane + 1) * input].iter().copied())
+                    .collect();
+                let mut slots: Vec<StackCache> = (0..live).map(|_| stack.empty_cache()).collect();
+                let zl = stack.batch_scratch_len(live);
+                stack.forward_step_batch_into(&xp, &mut bstate, &mut slots, &mut z[..zl]);
+                for (slot, &lane) in slots.into_iter().zip(&order) {
+                    arena[lane][t] = slot;
                 }
             }
 

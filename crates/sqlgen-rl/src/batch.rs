@@ -1,34 +1,40 @@
-//! Batched lockstep rollout collection with continuous lane refill.
+//! Batched lockstep rollout collection with continuous lane refill — the
+//! one inference engine, at every width.
 //!
 //! Single-stream inference re-reads the full weight matrices once per token
 //! (memory-bandwidth bound). The batched engine instead advances `B`
 //! independent rollouts ("lanes") one token per lockstep iteration: each
 //! weight block is read once per iteration and amortized across all lanes
 //! via the matrix-matrix kernels in `sqlgen-nn`, raising arithmetic
-//! intensity even on one core.
+//! intensity even on one core. At width 1 the kernels fall back to their
+//! serial forms, so one lane costs what a plain per-token loop costs.
 //!
-//! Lane `l` owns its FSM [`GenState`], its [`RewardShaper`], and the RNG
-//! stream seeded [`worker_seed`]`(base, l)`. When a lane emits `EOF` its
-//! finished query is flushed and the lane immediately restarts on the next
-//! pending job — **continuous refill** — so short queries never stall the
-//! batch. A refilled lane keeps its RNG stream running, which yields the
-//! determinism contract:
+//! Lane `l` owns its FSM [`GenState`], its [`RewardShaper`], and an RNG
+//! stream chosen by [`LaneSeeds`]. When a lane emits `EOF` its finished
+//! query is flushed and the lane immediately restarts on the next pending
+//! job — **continuous refill** — so short queries never stall the batch.
+//! Once no job is left for it, a lane is **compacted away**: every loop
+//! here runs its kernels at the live width, never dragging finished lanes
+//! through the GEMMs. A refilled lane keeps its RNG stream running, which
+//! yields the determinism contract:
 //!
-//! * every lane's token stream is bit-identical to a serial
-//!   [`run_episode_infer`](crate::episode::run_episode_infer) loop over
-//!   that lane's seed (the batched kernels accumulate in the same order as
-//!   their serial counterparts, and inactive lanes draw no RNG);
-//! * for a fixed `(base, n, batch)` the collected episodes are a pure
+//! * every lane's token stream is bit-identical to a loop of the reference
+//!   [`run_episode`](crate::episode::run_episode) (`train = false`) over
+//!   that lane's stream (the batched kernels accumulate in the same order
+//!   as their serial counterparts, and each lane draws only from its own
+//!   stream);
+//! * for a fixed `(seeds, n, batch)` the collected episodes are a pure
 //!   function of the policy weights — single-threaded lockstep has no
 //!   scheduling freedom — so runs reproduce exactly;
-//! * `batch = 1` degenerates to one lane whose stream equals the legacy
-//!   serial path with worker seed `base ^ 0`.
+//! * at width 1 ([`LaneSeeds::Own`]) the one lane runs on the caller's own
+//!   RNG, so a trainer's `generate` loop draws exactly what a per-episode
+//!   loop over the trainer's stream draws.
 
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::episode::{finish_episode, Episode};
 use crate::nets::{BatchScratch, InferActor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sqlgen_fsm::GenState;
 use sqlgen_nn::LstmBatchState;
 use sqlgen_obs::TraceHandle;
@@ -40,9 +46,121 @@ pub fn worker_seed(base: u64, worker: usize) -> u64 {
     base ^ worker as u64
 }
 
+/// Where a rollout's lane RNG streams come from.
+pub enum LaneSeeds<'r> {
+    /// One lane, running on the caller's own stream, which it hands back
+    /// advanced when the rollout ends.
+    Own(&'r mut StdRng),
+    /// Lane `l` runs on the stream seeded [`worker_seed`]`(base, l)`.
+    Base(u64),
+}
+
+impl<'r> LaneSeeds<'r> {
+    /// The seeding rule every trainer uses at configured width `batch`:
+    /// width 1 runs on `rng` itself, so batch-1 episodes draw from the
+    /// trainer's stream exactly as a per-episode loop would; wider batches
+    /// draw one base seed from `rng`.
+    pub fn for_width(rng: &'r mut StdRng, batch: usize) -> Self {
+        if batch > 1 {
+            LaneSeeds::Base(rng.random())
+        } else {
+            LaneSeeds::Own(rng)
+        }
+    }
+
+    /// Lane `lane`'s starting stream.
+    pub(crate) fn lane(&self, lane: usize) -> StdRng {
+        match self {
+            LaneSeeds::Own(rng) => {
+                assert_eq!(lane, 0, "an own-stream rollout has exactly one lane");
+                (**rng).clone()
+            }
+            LaneSeeds::Base(base) => StdRng::seed_from_u64(worker_seed(*base, lane)),
+        }
+    }
+
+    /// Takes back a retired lane's stream; an own-stream rollout hands it
+    /// to the caller.
+    pub(crate) fn retire(&mut self, rng: StdRng) {
+        if let LaneSeeds::Own(own) = self {
+            **own = rng;
+        }
+    }
+}
+
 /// Elapsed microseconds since `t0`.
 fn us_since(t0: Instant) -> f64 {
     t0.elapsed().as_nanos() as f64 / 1_000.0
+}
+
+/// The per-slot lockstep buffers every rollout loop shares: physical slot
+/// `p` of each buffer belongs to the same lane, and every buffer holds
+/// exactly the live lanes (the mask block may be longer; its first
+/// `width × vocab` entries are live).
+#[derive(Default)]
+pub(crate) struct Lanes {
+    pub(crate) state: LstmBatchState,
+    pub(crate) scratch: BatchScratch,
+    /// Row-major `[width × vocab]` FSM mask block.
+    pub(crate) masks: Vec<bool>,
+    pub(crate) prev: Vec<Option<usize>>,
+    pub(crate) actions: Vec<usize>,
+    pub(crate) rngs: Vec<StdRng>,
+}
+
+impl Lanes {
+    /// Starts one fresh lane per stream in `rngs`: zeroed LSTM state
+    /// (`state` must be that wide), start-token input.
+    pub(crate) fn start(
+        &mut self,
+        state: LstmBatchState,
+        vocab: usize,
+        rngs: impl IntoIterator<Item = StdRng>,
+    ) {
+        self.rngs.clear();
+        self.rngs.extend(rngs);
+        let width = self.rngs.len();
+        debug_assert_eq!(state.batch, width);
+        self.state = state;
+        self.masks.clear();
+        self.masks.resize(width * vocab, false);
+        self.prev.clear();
+        self.prev.resize(width, None);
+        self.actions.clear();
+        self.actions.resize(width, 0);
+    }
+
+    /// Restarts slot `p` on a fresh stream: zeroed LSTM lane, start-token
+    /// input.
+    fn restart(&mut self, p: usize, rng: StdRng) {
+        self.state.reset_lane(p);
+        self.prev[p] = None;
+        self.rngs[p] = rng;
+    }
+
+    /// Removes slot `p` [`Vec::swap_remove`]-style (the last slot moves
+    /// into `p`) and returns its RNG stream. Legal mid-rollout because a
+    /// lane's forward math reads only its own slot — the batched kernels
+    /// are bitwise position- and width-independent per lane — and each
+    /// stream travels with its slot.
+    pub(crate) fn swap_remove(&mut self, p: usize) -> StdRng {
+        self.state.swap_remove_lane(p);
+        self.prev.swap_remove(p);
+        self.actions.swap_remove(p);
+        self.rngs.swap_remove(p)
+    }
+}
+
+/// Records the amortized per-token step latency of one lockstep iteration
+/// over `width` lanes: one histogram sample per emitted token, each at the
+/// iteration's cost divided by the width.
+pub(crate) fn record_step_latency(start: Option<Instant>, width: usize) {
+    if let Some(start) = start {
+        let us = us_since(start) / width.max(1) as f64;
+        for _ in 0..width {
+            sqlgen_obs::obs_record!("rl.step.latency_us", us);
+        }
+    }
 }
 
 /// One in-flight episode owned by a lane.
@@ -55,19 +173,24 @@ struct LaneRun<'a> {
     job: usize,
 }
 
+impl<'a> LaneRun<'a> {
+    fn new(env: &SqlGenEnv<'a>, job: usize) -> Self {
+        LaneRun {
+            state: env.reset(),
+            shaper: RewardShaper::new(),
+            actions: Vec::new(),
+            rewards: Vec::new(),
+            job,
+        }
+    }
+}
+
 /// Reusable buffers for batched lockstep generation. One instance can
 /// serve many [`BatchRollout::collect`] calls; buffers are resized (not
 /// reallocated) when the batch width or vocabulary stays the same.
 #[derive(Default)]
 pub struct BatchRollout {
-    state: LstmBatchState,
-    scratch: BatchScratch,
-    /// Row-major `[batch × vocab]` FSM mask block.
-    masks: Vec<bool>,
-    prev: Vec<Option<usize>>,
-    active: Vec<bool>,
-    actions: Vec<usize>,
-    rngs: Vec<StdRng>,
+    lanes: Lanes,
 }
 
 impl BatchRollout {
@@ -75,106 +198,82 @@ impl BatchRollout {
         Self::default()
     }
 
-    /// Collects `n` episodes with up to `batch` lockstep lanes, returning
-    /// `(job, lane, episode)` tuples in completion order. `job` is the
-    /// episode's index in the deterministic refill queue and `lane` the
-    /// lane that produced it — enough to replay any lane serially.
+    /// Collects `n` episodes with up to `batch` lockstep lanes seeded by
+    /// `seeds`, returning `(job, lane, episode)` tuples in completion
+    /// order. `job` is the episode's index in the deterministic refill
+    /// queue and `lane` the lane that produced it — enough to replay any
+    /// lane serially.
     ///
-    /// Once the job queue is exhausted, finished lanes are **compacted
-    /// away** ([`Vec::swap_remove`]-style) instead of riding through the
-    /// GEMMs inactive: the drain tail runs at the shrinking live width.
-    /// Legal because each lane's forward math reads only its own slot —
-    /// the batched kernels are bitwise position- and width-independent per
-    /// lane — and a lane's RNG stream travels with its slot, so every
-    /// episode is unchanged.
+    /// Once the job queue is exhausted, finished lanes are compacted away
+    /// (see the [module docs](crate::batch)): the drain tail runs at the
+    /// shrinking live width, and every episode is unchanged.
     pub fn collect_tagged<A: InferActor>(
         &mut self,
         actor: &A,
         env: &SqlGenEnv,
         n: usize,
         batch: usize,
-        base: u64,
+        mut seeds: LaneSeeds,
     ) -> Vec<(usize, usize, Episode)> {
-        let b = batch.clamp(1, n.max(1));
+        if n == 0 {
+            return Vec::new();
+        }
+        let b = batch.clamp(1, n);
         let vocab = env.action_space();
-        self.state = actor.begin_batch(b);
-        self.masks.clear();
-        self.masks.resize(b * vocab, false);
-        self.prev.clear();
-        self.prev.resize(b, None);
-        self.active.clear();
-        self.active.resize(b, true);
-        self.actions.clear();
-        self.actions.resize(b, 0);
-        self.rngs.clear();
-        self.rngs
-            .extend((0..b).map(|w| StdRng::seed_from_u64(worker_seed(base, w))));
+        let lanes = &mut self.lanes;
+        lanes.start(actor.begin_batch(b), vocab, (0..b).map(|l| seeds.lane(l)));
 
         // `b <= n`, so every slot starts with a job. Physical slot `p`
         // hosts the lane originally numbered `order[p]` (the tag reported
         // in the output tuples and the lane whose RNG stream slot `p`
         // carries).
         let mut order: Vec<usize> = (0..b).collect();
-        let mut lanes: Vec<LaneRun> = (0..b)
-            .map(|job| LaneRun {
-                state: env.reset(),
-                shaper: RewardShaper::new(),
-                actions: Vec::new(),
-                rewards: Vec::new(),
-                job,
-            })
-            .collect();
-        let mut next_job = b.min(n);
+        let mut runs: Vec<LaneRun> = (0..b).map(|job| LaneRun::new(env, job)).collect();
+        let mut next_job = b;
         let mut out = Vec::with_capacity(n);
+        let mut done_slots: Vec<usize> = Vec::new();
 
-        while !order.is_empty() {
-            let w = order.len();
-            let start = sqlgen_obs::timing_enabled().then(std::time::Instant::now);
-            for (p, run) in lanes.iter().enumerate() {
-                run.state.mask_into_row(&mut self.masks, p);
+        while !runs.is_empty() {
+            let w = runs.len();
+            let start = sqlgen_obs::timing_enabled().then(Instant::now);
+            for (p, run) in runs.iter().enumerate() {
+                run.state.mask_into_row(&mut lanes.masks, p);
             }
             actor.infer_step_batch(
-                &self.prev[..w],
-                &self.active[..w],
-                &mut self.state,
-                &self.masks[..w * vocab],
-                &mut self.rngs[..w],
-                &mut self.scratch,
-                &mut self.actions[..w],
+                &lanes.prev,
+                &mut lanes.state,
+                &lanes.masks[..w * vocab],
+                &mut lanes.rngs,
+                &mut lanes.scratch,
+                &mut lanes.actions,
             );
-            let mut done_slots: Vec<usize> = Vec::new();
-            for (p, run) in lanes.iter_mut().enumerate() {
-                let action = self.actions[p];
+            done_slots.clear();
+            for (p, run) in runs.iter_mut().enumerate() {
+                let action = lanes.actions[p];
                 let (reward, done) = env.step(&mut run.state, action, &mut run.shaper);
-                self.prev[p] = Some(action);
+                lanes.prev[p] = Some(action);
                 run.actions.push(action);
                 run.rewards.push(reward);
-                if done {
-                    if next_job < n {
-                        // Refill: fresh episode, zeroed LSTM lane, BOS
-                        // input — the lane's RNG stream continues, exactly
-                        // like a serial worker starting its next episode.
-                        let fresh = LaneRun {
-                            state: env.reset(),
-                            shaper: RewardShaper::new(),
-                            actions: Vec::new(),
-                            rewards: Vec::new(),
-                            job: next_job,
-                        };
-                        let LaneRun {
-                            state,
-                            actions,
-                            rewards,
-                            job,
-                            ..
-                        } = std::mem::replace(run, fresh);
-                        out.push((job, order[p], finish_episode(env, &state, actions, rewards)));
-                        next_job += 1;
-                        self.state.reset_lane(p);
-                        self.prev[p] = None;
-                    } else {
-                        done_slots.push(p);
-                    }
+                if !done {
+                    continue;
+                }
+                if next_job < n {
+                    // Refill: fresh episode, zeroed LSTM lane, start-token
+                    // input — the lane's RNG stream continues, exactly like
+                    // a serial loop starting its next episode.
+                    let LaneRun {
+                        state,
+                        actions,
+                        rewards,
+                        job,
+                        ..
+                    } = std::mem::replace(run, LaneRun::new(env, next_job));
+                    out.push((job, order[p], finish_episode(env, &state, actions, rewards)));
+                    next_job += 1;
+                    lanes.state.reset_lane(p);
+                    lanes.prev[p] = None;
+                } else {
+                    done_slots.push(p);
                 }
             }
             // Compact drained slots out, highest physical index first so
@@ -186,23 +285,12 @@ impl BatchRollout {
                     rewards,
                     job,
                     ..
-                } = lanes.swap_remove(p);
+                } = runs.swap_remove(p);
                 out.push((job, order[p], finish_episode(env, &state, actions, rewards)));
-                self.state.swap_remove_lane(p);
-                self.rngs.swap_remove(p);
-                self.prev.swap_remove(p);
-                self.actions.swap_remove(p);
+                seeds.retire(lanes.swap_remove(p));
                 order.swap_remove(p);
             }
-            self.active.truncate(order.len());
-            if let Some(start) = start {
-                // One histogram sample per emitted token (matching the
-                // serial path's count contract) at the amortized cost.
-                let us = start.elapsed().as_nanos() as f64 / 1_000.0 / w.max(1) as f64;
-                for _ in 0..w {
-                    sqlgen_obs::obs_record!("rl.step.latency_us", us);
-                }
-            }
+            record_step_latency(start, w);
         }
         out
     }
@@ -215,9 +303,9 @@ impl BatchRollout {
         env: &SqlGenEnv,
         n: usize,
         batch: usize,
-        base: u64,
+        seeds: LaneSeeds,
     ) -> Vec<Episode> {
-        let mut tagged = self.collect_tagged(actor, env, n, batch, base);
+        let mut tagged = self.collect_tagged(actor, env, n, batch, seeds);
         tagged.sort_by_key(|(job, _, _)| *job);
         tagged.into_iter().map(|(_, _, ep)| ep).collect()
     }
@@ -298,10 +386,15 @@ impl BatchRollout {
     /// so `source` may keep yielding work admitted after the call started
     /// (a live request queue). Returns the number of episodes completed.
     ///
-    /// Each assignment zeroes the lane (LSTM state, BOS input) and reseeds
-    /// its RNG from [`Job::seed`]; see [`Job`] for the determinism contract.
-    /// Outcome order is completion order, deterministic for a fixed job
-    /// stream (single-threaded lockstep has no scheduling freedom).
+    /// The batch starts no wider than the jobs `source` has on hand, and a
+    /// lane whose refill finds `source` dry is compacted away, so the
+    /// kernels always run at the live width.
+    ///
+    /// Each assignment zeroes the lane (LSTM state, start-token input) and
+    /// reseeds its RNG from [`Job::seed`]; see [`Job`] for the determinism
+    /// contract. Outcome order is completion order, deterministic for a
+    /// fixed job stream (single-threaded lockstep has no scheduling
+    /// freedom).
     pub fn run_jobs<'e, 'v: 'e, A: InferActor>(
         &mut self,
         actor: &A,
@@ -309,98 +402,68 @@ impl BatchRollout {
         mut source: impl FnMut() -> Option<Job<'e, 'v>>,
         mut sink: impl FnMut(u64, JobOutcome),
     ) -> usize {
-        let b = lanes.max(1);
         let vocab = actor.vocab_size();
-        self.state = actor.begin_batch(b);
-        self.masks.clear();
-        self.masks.resize(b * vocab, false);
-        self.prev.clear();
-        self.prev.resize(b, None);
-        self.active.clear();
-        self.active.resize(b, false);
-        self.actions.clear();
-        self.actions.resize(b, 0);
-        self.rngs.clear();
-        // Placeholder streams; every assignment reseeds its lane from the
-        // job's own seed before the lane draws anything.
-        self.rngs
-            .extend((0..b).map(|w| StdRng::seed_from_u64(w as u64)));
-
-        let mut slots: Vec<Option<JobRun>> = (0..b).map(|_| None).collect();
-        let mut completed = 0usize;
-        for (lane, slot) in slots.iter_mut().enumerate() {
-            if !Self::refill_lane(
-                &mut source,
-                slot,
-                lane,
-                vocab,
-                &mut self.state,
-                &mut self.prev,
-                &mut self.rngs,
-            ) {
+        let mut runs: Vec<JobRun> = Vec::new();
+        let mut rngs: Vec<StdRng> = Vec::new();
+        while runs.len() < lanes.max(1) {
+            let Some((run, rng)) = assign(source(), vocab) else {
                 break;
-            }
-            self.active[lane] = true;
+            };
+            runs.push(run);
+            rngs.push(rng);
+        }
+        if runs.is_empty() {
+            return 0;
+        }
+        let l = &mut self.lanes;
+        l.start(actor.begin_batch(runs.len()), vocab, rngs);
+        // Lane reset + reseed + env reset on behalf of each incoming job.
+        for run in &runs {
+            run.note_refill();
         }
 
-        while self.active.iter().any(|&a| a) {
+        let mut completed = 0usize;
+        let mut retired: Vec<usize> = Vec::new();
+        while !runs.is_empty() {
             // Deadline sweep before spending another lockstep iteration.
             // One clock read per iteration, and only when some lane has a
             // deadline at all.
-            if slots.iter().flatten().any(|run| run.deadline.is_some()) {
+            if runs.iter().any(|run| run.deadline.is_some()) {
                 let now = Instant::now();
-                for (lane, slot) in slots.iter_mut().enumerate() {
-                    let expired = slot
-                        .as_ref()
-                        .is_some_and(|run| run.deadline.is_some_and(|d| now >= d));
-                    if expired {
-                        let run = slot.take().expect("expired lane has a run");
-                        run.flush_trace(run.actions.len());
-                        sink(run.tag, JobOutcome::Expired);
-                        if !Self::refill_lane(
-                            &mut source,
-                            slot,
-                            lane,
-                            vocab,
-                            &mut self.state,
-                            &mut self.prev,
-                            &mut self.rngs,
-                        ) {
-                            self.active[lane] = false;
-                        }
+                retired.clear();
+                for p in 0..runs.len() {
+                    if runs[p].deadline.is_none_or(|d| now < d) {
+                        continue;
+                    }
+                    runs[p].flush_trace(runs[p].actions.len());
+                    sink(runs[p].tag, JobOutcome::Expired);
+                    if !refill(l, &mut runs, p, source(), vocab) {
+                        retired.push(p);
                     }
                 }
-                if !self.active.iter().any(|&a| a) {
+                compact(l, &mut runs, &retired);
+                if runs.is_empty() {
                     break;
                 }
             }
 
+            let w = runs.len();
             let start = sqlgen_obs::timing_enabled().then(Instant::now);
-            for (lane, slot) in slots.iter().enumerate() {
-                if self.active[lane] {
-                    slot.as_ref()
-                        .expect("active lane has a run")
-                        .state
-                        .mask_into_row(&mut self.masks, lane);
-                }
+            for (p, run) in runs.iter().enumerate() {
+                run.state.mask_into_row(&mut l.masks, p);
             }
             actor.infer_step_batch(
-                &self.prev,
-                &self.active,
-                &mut self.state,
-                &self.masks,
-                &mut self.rngs,
-                &mut self.scratch,
-                &mut self.actions,
+                &l.prev,
+                &mut l.state,
+                &l.masks[..w * vocab],
+                &mut l.rngs,
+                &mut l.scratch,
+                &mut l.actions,
             );
-            let mut n_active = 0usize;
-            for (lane, slot) in slots.iter_mut().enumerate() {
-                if !self.active[lane] {
-                    continue;
-                }
-                n_active += 1;
-                let run = slot.as_mut().expect("active lane has a run");
-                let action = self.actions[lane];
+            retired.clear();
+            for p in 0..w {
+                let run = &mut runs[p];
+                let action = l.actions[p];
                 // Traced jobs time each env.step locally (estimator-
                 // dominated: the shaped reward's cardinality/cost probes);
                 // untraced jobs pay one branch, no clock read.
@@ -409,94 +472,93 @@ impl BatchRollout {
                 if let Some(t0) = step_t0 {
                     run.est_us += us_since(t0);
                 }
-                self.prev[lane] = Some(action);
+                l.prev[p] = Some(action);
                 run.actions.push(action);
                 run.rewards.push(reward);
-                if done {
-                    let mut run = slot.take().expect("active lane has a run");
-                    let fin_t0 = run.trace.is_some().then(Instant::now);
-                    let ep = finish_episode(run.env, &run.state, run.actions, run.rewards);
-                    if let Some(t0) = fin_t0 {
-                        // finish_episode re-measures the final query; that
-                        // probe is estimator time too.
-                        run.est_us += us_since(t0);
-                    }
-                    run.actions = Vec::new();
-                    run.rewards = Vec::new();
-                    run.flush_trace(ep.actions.len());
-                    sink(run.tag, JobOutcome::Done(Box::new(ep)));
-                    completed += 1;
-                    if !Self::refill_lane(
-                        &mut source,
-                        slot,
-                        lane,
-                        vocab,
-                        &mut self.state,
-                        &mut self.prev,
-                        &mut self.rngs,
-                    ) {
-                        self.active[lane] = false;
-                    }
+                if !done {
+                    continue;
+                }
+                let fin_t0 = run.trace.is_some().then(Instant::now);
+                let actions = std::mem::take(&mut run.actions);
+                let rewards = std::mem::take(&mut run.rewards);
+                let ep = finish_episode(run.env, &run.state, actions, rewards);
+                if let Some(t0) = fin_t0 {
+                    // finish_episode re-measures the final query; that
+                    // probe is estimator time too.
+                    run.est_us += us_since(t0);
+                }
+                run.flush_trace(ep.actions.len());
+                sink(run.tag, JobOutcome::Done(Box::new(ep)));
+                completed += 1;
+                if !refill(l, &mut runs, p, source(), vocab) {
+                    retired.push(p);
                 }
             }
-            sqlgen_obs::obs_record!("rl.batch.occupancy", n_active as f64);
-            if let Some(start) = start {
-                // One histogram sample per emitted token (matching the
-                // serial path's count contract) at the amortized cost.
-                let us = start.elapsed().as_nanos() as f64 / 1_000.0 / n_active.max(1) as f64;
-                for _ in 0..n_active {
-                    sqlgen_obs::obs_record!("rl.step.latency_us", us);
-                }
-            }
+            compact(l, &mut runs, &retired);
+            sqlgen_obs::obs_record!("rl.batch.occupancy", w as f64);
+            record_step_latency(start, w);
         }
         completed
     }
+}
 
-    /// Pulls the next job into an empty lane slot; `false` when the source
-    /// is (currently) dry.
-    fn refill_lane<'e, 'v: 'e>(
-        source: &mut impl FnMut() -> Option<Job<'e, 'v>>,
-        slot: &mut Option<JobRun<'e, 'v>>,
-        lane: usize,
-        vocab: usize,
-        state: &mut LstmBatchState,
-        prev: &mut [Option<usize>],
-        rngs: &mut [StdRng],
-    ) -> bool {
-        match source() {
-            Some(job) => {
-                assert_eq!(
-                    job.env.action_space(),
-                    vocab,
-                    "job env action space must match the actor vocabulary"
-                );
-                let t0 = job.trace.is_some().then(Instant::now);
-                state.reset_lane(lane);
-                prev[lane] = None;
-                rngs[lane] = StdRng::seed_from_u64(job.seed);
-                *slot = Some(JobRun {
-                    state: job.env.reset(),
-                    env: job.env,
-                    shaper: RewardShaper::new(),
-                    actions: Vec::new(),
-                    rewards: Vec::new(),
-                    deadline: job.deadline,
-                    tag: job.tag,
-                    assigned: t0,
-                    est_us: 0.0,
-                    trace: job.trace,
-                });
-                if let (Some(t0), Some(run)) = (t0, slot.as_ref()) {
-                    // Lane reset + reseed + env reset on behalf of the
-                    // incoming job.
-                    if let Some(handle) = &run.trace {
-                        handle.accum("refill", us_since(t0));
-                    }
-                }
-                true
-            }
-            None => false,
+/// Turns a pulled job into a lane run and its fresh RNG stream; `None`
+/// when the source is (currently) dry.
+fn assign<'e, 'v: 'e>(job: Option<Job<'e, 'v>>, vocab: usize) -> Option<(JobRun<'e, 'v>, StdRng)> {
+    let job = job?;
+    assert_eq!(
+        job.env.action_space(),
+        vocab,
+        "job env action space must match the actor vocabulary"
+    );
+    let run = JobRun {
+        state: job.env.reset(),
+        env: job.env,
+        shaper: RewardShaper::new(),
+        actions: Vec::new(),
+        rewards: Vec::new(),
+        deadline: job.deadline,
+        tag: job.tag,
+        assigned: job.trace.is_some().then(Instant::now),
+        est_us: 0.0,
+        trace: job.trace,
+    };
+    Some((run, StdRng::seed_from_u64(job.seed)))
+}
+
+impl JobRun<'_, '_> {
+    /// Attributes the assignment work so far (lane reset, reseed, env
+    /// reset) to the trace's `refill` phase.
+    fn note_refill(&self) {
+        if let (Some(t0), Some(handle)) = (self.assigned, &self.trace) {
+            handle.accum("refill", us_since(t0));
         }
+    }
+}
+
+/// Restarts slot `p` on `job`; `false` (slot untouched) when there is none.
+fn refill<'e, 'v: 'e>(
+    lanes: &mut Lanes,
+    runs: &mut [JobRun<'e, 'v>],
+    p: usize,
+    job: Option<Job<'e, 'v>>,
+    vocab: usize,
+) -> bool {
+    let Some((run, rng)) = assign(job, vocab) else {
+        return false;
+    };
+    lanes.restart(p, rng);
+    runs[p] = run;
+    runs[p].note_refill();
+    true
+}
+
+/// Compacts the `retired` slots (ascending) out of a job rollout, highest
+/// physical index first so each swap_remove only moves a still-live slot.
+fn compact(lanes: &mut Lanes, runs: &mut Vec<JobRun>, retired: &[usize]) {
+    for &p in retired.iter().rev() {
+        runs.swap_remove(p);
+        lanes.swap_remove(p);
     }
 }
 
@@ -519,8 +581,8 @@ pub fn run_jobs_batched<'e, 'v: 'e, A: InferActor>(
     out
 }
 
-/// Collects `n` inference episodes with `batch` lockstep lanes (see
-/// [`BatchRollout`]).
+/// Collects `n` inference episodes with `batch` lockstep lanes, lane `l`
+/// on the stream seeded [`worker_seed`]`(base, l)` (see [`BatchRollout`]).
 pub fn collect_episodes_batched<A: InferActor>(
     actor: &A,
     env: &SqlGenEnv,
@@ -528,14 +590,14 @@ pub fn collect_episodes_batched<A: InferActor>(
     batch: usize,
     base: u64,
 ) -> Vec<Episode> {
-    BatchRollout::new().collect(actor, env, n, batch, base)
+    BatchRollout::new().collect(actor, env, n, batch, LaneSeeds::Base(base))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraint::Constraint;
-    use crate::episode::{run_episode_infer, InferRollout};
+    use crate::episode::run_episode;
     use crate::nets::{ActorNet, NetConfig};
     use sqlgen_engine::Estimator;
     use sqlgen_fsm::Vocabulary;
@@ -567,8 +629,9 @@ mod tests {
         )
     }
 
-    /// Every lane's token stream must equal a serial `run_episode_infer`
-    /// loop over that lane's worker seed — including across refills.
+    /// Every lane's token stream must equal a reference `run_episode`
+    /// (`train = false`) loop over that lane's worker seed — including
+    /// across refills.
     #[test]
     fn lanes_match_serial_runs_bitwise() {
         let (db, vocab) = setup();
@@ -578,16 +641,16 @@ mod tests {
         let base = 0xfeed;
         for &batch in &[1usize, 3, 4] {
             let n = batch * 2 + 1; // forces refill on at least one lane
-            let tagged = BatchRollout::new().collect_tagged(&actor, &env, n, batch, base);
+            let tagged =
+                BatchRollout::new().collect_tagged(&actor, &env, n, batch, LaneSeeds::Base(base));
             assert_eq!(tagged.len(), n);
             let b = batch.min(n);
             for lane in 0..b {
                 let mut lane_eps: Vec<_> = tagged.iter().filter(|(_, l, _)| *l == lane).collect();
                 lane_eps.sort_by_key(|(job, _, _)| *job);
                 let mut rng = StdRng::seed_from_u64(worker_seed(base, lane));
-                let mut ro = InferRollout::new();
                 for (_, _, ep) in lane_eps {
-                    let serial = run_episode_infer(&actor, &env, &mut rng, &mut ro);
+                    let serial = run_episode(&actor, &env, false, &mut rng);
                     assert_eq!(ep.actions, serial.actions, "lane {lane} batch {batch}");
                     assert_eq!(ep.rewards, serial.rewards, "lane {lane} batch {batch}");
                 }
@@ -595,9 +658,10 @@ mod tests {
         }
     }
 
-    /// A job's episode must equal a serial `run_episode_infer` with the
-    /// job's own seed — at every batch width, regardless of co-tenant jobs
-    /// or which constraint each job carries.
+    /// A job's episode must equal a reference `run_episode` with the job's
+    /// own seed — at every batch width (wider than the job list, too:
+    /// the engine starts at the jobs on hand and compacts drained lanes),
+    /// regardless of co-tenant jobs or which constraint each job carries.
     #[test]
     fn jobs_match_serial_runs_at_any_batch_width() {
         let (db, vocab) = setup();
@@ -612,11 +676,10 @@ mod tests {
         for (i, &seed) in seeds.iter().enumerate() {
             let env = if i.is_multiple_of(2) { &env_a } else { &env_b };
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut ro = InferRollout::new();
-            serial.push(run_episode_infer(&actor, env, &mut rng, &mut ro));
+            serial.push(run_episode(&actor, env, false, &mut rng));
         }
 
-        for &lanes in &[1usize, 3, 8] {
+        for &lanes in &[1usize, 3, 8, 16] {
             let jobs: Vec<Job> = seeds
                 .iter()
                 .enumerate()
@@ -641,63 +704,74 @@ mod tests {
         }
     }
 
-    /// Jobs whose deadline has passed are reported `Expired` (aborting
-    /// mid-generation) while co-tenant jobs without deadlines complete
-    /// bit-exactly.
+    /// Jobs whose deadline has passed are reported `Expired` — before
+    /// their first token, or mid-generation — while co-tenant jobs without
+    /// deadlines complete bit-exactly, including a job refilled into an
+    /// expired job's lane after the expired lanes were compacted away.
     #[test]
     fn deadline_expiry_aborts_without_perturbing_neighbors() {
         let (db, vocab) = setup();
         let est = Estimator::build(&db);
         let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(1.0, 500.0));
         let actor = actor_for(&vocab);
+        let serial = |seed: u64| run_episode(&actor, &env, false, &mut StdRng::seed_from_u64(seed));
 
-        let mut rng = StdRng::seed_from_u64(0x77);
-        let mut ro = InferRollout::new();
-        let want = run_episode_infer(&actor, &env, &mut rng, &mut ro);
+        // Job 3 runs from the first lockstep step alongside job 0 and its
+        // episode is longer, so when job 0 finishes, job 3 is mid-run.
+        let first = serial(0x77);
+        let long_seed = (0x100u64..)
+            .find(|&s| serial(s).len() > first.len() + 2)
+            .expect("some seed rolls a longer episode");
+        let last = serial(0xAA);
 
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let jobs = vec![
-            Job {
-                env: &env,
-                seed: 0x77,
-                deadline: None,
-                tag: 0,
-                trace: None,
+        let soon = Instant::now() + std::time::Duration::from_millis(300);
+        let job = |seed, deadline, tag| Job {
+            env: &env,
+            seed,
+            deadline,
+            tag,
+            trace: None,
+        };
+        let mut queue = std::collections::VecDeque::from(vec![
+            job(0x77, None, 0),
+            job(0x88, Some(past), 1),
+            job(0x99, Some(past), 2),
+            job(long_seed, Some(soon), 3),
+            job(0xAA, None, 4),
+        ]);
+        let mut out = Vec::new();
+        BatchRollout::new().run_jobs(
+            &actor,
+            3,
+            || queue.pop_front(),
+            |tag, outcome| {
+                if tag == 0 {
+                    // Hold the loop until job 3's deadline has passed, so
+                    // the next sweep expires it mid-generation.
+                    std::thread::sleep(soon.saturating_duration_since(Instant::now()));
+                }
+                out.push((tag, outcome));
             },
-            Job {
-                env: &env,
-                seed: 0x88,
-                deadline: Some(past),
-                tag: 1,
-                trace: None,
-            },
-            Job {
-                env: &env,
-                seed: 0x99,
-                deadline: Some(past),
-                tag: 2,
-                trace: None,
-            },
-        ];
-        let out = run_jobs_batched(&actor, jobs, 3);
-        assert_eq!(out.len(), 3);
-        let mut done = 0;
-        let mut expired = 0;
+        );
+        assert_eq!(out.len(), 5);
+        let mut expired = Vec::new();
         for (tag, outcome) in out {
             match outcome {
                 JobOutcome::Done(ep) => {
-                    done += 1;
-                    assert_eq!(tag, 0);
-                    assert_eq!(ep.actions, want.actions);
-                    assert_eq!(ep.rewards, want.rewards);
+                    let want = match tag {
+                        0 => &first,
+                        4 => &last,
+                        _ => panic!("job {tag} should have expired"),
+                    };
+                    assert_eq!(ep.actions, want.actions, "job {tag}");
+                    assert_eq!(ep.rewards, want.rewards, "job {tag}");
                 }
-                JobOutcome::Expired => {
-                    expired += 1;
-                    assert!(tag == 1 || tag == 2);
-                }
+                JobOutcome::Expired => expired.push(tag),
             }
         }
-        assert_eq!((done, expired), (1, 2));
+        expired.sort_unstable();
+        assert_eq!(expired, vec![1, 2, 3]);
     }
 
     /// The source is consulted again after every completion, so jobs
@@ -790,8 +864,7 @@ mod tests {
             }
             .with_cache(&solo_cache);
             let mut rng = StdRng::seed_from_u64(seeds[i]);
-            let mut ro = InferRollout::new();
-            let want = run_episode_infer(&actor, &env, &mut rng, &mut ro);
+            let want = run_episode(&actor, &env, false, &mut rng);
             assert_eq!(ep.actions, want.actions, "job {tag}: token stream drifted");
             assert_eq!(ep.rewards, want.rewards, "job {tag}: reward drifted");
             assert_eq!(
@@ -828,7 +901,7 @@ mod tests {
             assert_eq!(x.actions, y.actions);
             assert_eq!(x.rewards, y.rewards);
         }
-        let tagged = BatchRollout::new().collect_tagged(&actor, &env, 7, 4, 0xabc);
+        let tagged = BatchRollout::new().collect_tagged(&actor, &env, 7, 4, LaneSeeds::Base(0xabc));
         let jobs: Vec<usize> = {
             let mut t: Vec<usize> = tagged.iter().map(|(j, _, _)| *j).collect();
             t.sort_unstable();

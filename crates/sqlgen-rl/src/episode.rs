@@ -1,20 +1,22 @@
-//! Episode rollout shared by all trainers.
+//! Episodes and the serial reference rollout.
 //!
 //! One episode = one query generated token-by-token (Algorithm 1):
 //! the FSM masks the action space, the actor samples, the environment
-//! rewards executable prefixes.
+//! rewards executable prefixes. Production rollouts run on the lane
+//! engines ([`crate::train_batch::TrainRollout`] for training,
+//! [`crate::batch::BatchRollout`] for inference) at every width;
+//! [`run_episode`] is the plain per-token loop they are checked against.
 
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::nets::{ActorNet, ActorStep, NetScratch};
 use rand::Rng;
 use sqlgen_engine::Statement;
-use sqlgen_nn::StackState;
 
 /// A completed episode with everything the trainers need.
 ///
-/// `steps` may be empty when the rollout used an arena (the backward caches
-/// then live in the trainer's [`Rollout`], not in the episode); `actions`
-/// and `rewards` are always populated, so `len()` is defined on rewards.
+/// `steps` is filled only by the reference [`run_episode`]; the lane
+/// engines keep the backward caches in their own arenas. `actions` and
+/// `rewards` are always populated, so `len()` is defined on rewards.
 pub struct Episode {
     pub steps: Vec<ActorStep>,
     pub actions: Vec<usize>,
@@ -37,45 +39,6 @@ impl Episode {
 
     pub fn is_empty(&self) -> bool {
         self.rewards.is_empty()
-    }
-}
-
-/// Recycled rollout buffers: the `ActorStep` arena plus everything else a
-/// training episode needs. After the first episode the steady state is
-/// allocation-free per token (the arena only grows when an episode is
-/// longer than any previous one).
-#[derive(Default)]
-pub struct Rollout {
-    /// Arena of per-step caches; `steps[..len]` is the live prefix.
-    pub steps: Vec<ActorStep>,
-    pub len: usize,
-    scratch: NetScratch,
-    lstm_state: StackState,
-    mask: Vec<bool>,
-}
-
-impl Rollout {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The live steps of the most recent episode.
-    pub fn steps(&self) -> &[ActorStep] {
-        &self.steps[..self.len]
-    }
-}
-
-/// Recycled buffers for cacheless inference rollouts.
-#[derive(Default)]
-pub struct InferRollout {
-    scratch: NetScratch,
-    lstm_state: StackState,
-    mask: Vec<bool>,
-}
-
-impl InferRollout {
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -108,104 +71,54 @@ pub(crate) fn finish_episode(
     }
 }
 
-/// Generates one query with the current policy, storing per-step caches in
-/// the rollout arena (`ro.steps[..ro.len]`) instead of the returned episode.
+/// Generates one query with the current policy, one token at a time on
+/// the serial kernels, and returns it with its per-step caches in
+/// `steps`. This allocating loop is the reference the lane engines are
+/// checked against — the equivalence tests and the `batch-equivalence`
+/// fuzz family — not a production path.
 ///
-/// `train = true` enables dropout; the RNG draw order per token is exactly
-/// that of the pre-arena path, so fixed seeds reproduce the same queries.
-pub fn run_episode_into<R: Rng + ?Sized>(
-    actor: &ActorNet,
-    env: &SqlGenEnv,
-    train: bool,
-    rng: &mut R,
-    ro: &mut Rollout,
-) -> Episode {
-    let mut state = env.reset();
-    let mut shaper = RewardShaper::new();
-    actor.lstm.reset_state(&mut ro.lstm_state);
-    ro.mask.resize(env.action_space(), false);
-    ro.len = 0;
-    let mut actions = Vec::new();
-    let mut rewards = Vec::new();
-    let mut prev: Option<usize> = None;
-
-    loop {
-        let _t = sqlgen_obs::obs_time!("rl.step.latency_us");
-        state.mask_into(&mut ro.mask);
-        if ro.len == ro.steps.len() {
-            ro.steps.push(ActorStep::default());
-        }
-        let step = &mut ro.steps[ro.len];
-        actor.step_into(
-            prev,
-            &mut ro.lstm_state,
-            &ro.mask,
-            train,
-            rng,
-            step,
-            &mut ro.scratch,
-        );
-        let action = step.action;
-        ro.len += 1;
-        let (reward, done) = env.step(&mut state, action, &mut shaper);
-        prev = Some(action);
-        actions.push(action);
-        rewards.push(reward);
-        if done {
-            break;
-        }
-    }
-    finish_episode(env, &state, actions, rewards)
-}
-
-/// Generates one query with the current policy without collecting backward
-/// caches — the inference fast path (zero heap allocations per token in
-/// steady state). Action streams match `run_episode(train = false)` for the
-/// same RNG.
-pub fn run_episode_infer<R: Rng + ?Sized>(
-    actor: &ActorNet,
-    env: &SqlGenEnv,
-    rng: &mut R,
-    ro: &mut InferRollout,
-) -> Episode {
-    let mut state = env.reset();
-    let mut shaper = RewardShaper::new();
-    actor.lstm.reset_state(&mut ro.lstm_state);
-    ro.mask.resize(env.action_space(), false);
-    let mut actions = Vec::new();
-    let mut rewards = Vec::new();
-    let mut prev: Option<usize> = None;
-
-    loop {
-        let _t = sqlgen_obs::obs_time!("rl.step.latency_us");
-        state.mask_into(&mut ro.mask);
-        let action = actor.infer_step(prev, &mut ro.lstm_state, &ro.mask, rng, &mut ro.scratch);
-        let (reward, done) = env.step(&mut state, action, &mut shaper);
-        prev = Some(action);
-        actions.push(action);
-        rewards.push(reward);
-        if done {
-            break;
-        }
-    }
-    finish_episode(env, &state, actions, rewards)
-}
-
-/// Generates one query with the current policy.
-///
-/// `train = true` enables dropout (the caches are collected either way; the
-/// caller decides whether to backprop). Allocating wrapper over
-/// [`run_episode_into`]: the episode owns its steps.
+/// `train = true` enables dropout (the caches are collected either way).
+/// Per token the RNG draws are the dropout mask draws (train only), then
+/// one sampling draw.
 pub fn run_episode<R: Rng + ?Sized>(
     actor: &ActorNet,
     env: &SqlGenEnv,
     train: bool,
     rng: &mut R,
 ) -> Episode {
-    let mut ro = Rollout::new();
-    let mut ep = run_episode_into(actor, env, train, rng, &mut ro);
-    ro.steps.truncate(ro.len);
-    ep.steps = ro.steps;
+    let mut state = env.reset();
+    let mut shaper = RewardShaper::new();
+    let mut lstm_state = actor.begin();
+    let mut mask = vec![false; env.action_space()];
+    let mut scratch = NetScratch::default();
+    let mut steps = Vec::new();
+    let mut actions = Vec::new();
+    let mut rewards = Vec::new();
+    let mut prev: Option<usize> = None;
+    loop {
+        state.mask_into(&mut mask);
+        let mut step = ActorStep::default();
+        actor.step_into(
+            prev,
+            &mut lstm_state,
+            &mask,
+            train,
+            rng,
+            &mut step,
+            &mut scratch,
+        );
+        let action = step.action;
+        steps.push(step);
+        let (reward, done) = env.step(&mut state, action, &mut shaper);
+        prev = Some(action);
+        actions.push(action);
+        rewards.push(reward);
+        if done {
+            break;
+        }
+    }
+    let mut ep = finish_episode(env, &state, actions, rewards);
+    ep.steps = steps;
     ep
 }
 

@@ -14,11 +14,13 @@
 //! within an episode; the encoder is trained by backpropagating the sum of
 //! the per-step `∂L/∂z` through its final hidden state.
 
+use crate::batch::{BatchRollout, LaneSeeds};
 use crate::constraint::Constraint;
 use crate::env::SqlGenEnv;
-use crate::episode::{run_episode, Episode};
-use crate::nets::{ActorNet, NetConfig};
+use crate::episode::Episode;
+use crate::nets::{ActorNet, NetConfig, NetGradsBatch};
 use crate::reinforce::TrainConfig;
+use crate::train_batch::TrainRollout;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -192,6 +194,12 @@ pub struct MetaCriticTrainer {
     pub cfg: TrainConfig,
     opt_critic: Adam,
     rng: StdRng,
+    /// One-lane training rollout and actor gradient arena, kept across
+    /// calls (every task's actor has the same shape).
+    rollout: TrainRollout,
+    grads: NetGradsBatch,
+    /// One-lane inference rollout.
+    infer: BatchRollout,
 }
 
 impl MetaCriticTrainer {
@@ -213,6 +221,9 @@ impl MetaCriticTrainer {
             opt_critic: Adam::new(cfg.lr_critic),
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x91e7),
             cfg,
+            rollout: TrainRollout::new(),
+            grads: NetGradsBatch::default(),
+            infer: BatchRollout::new(),
         }
     }
 
@@ -237,26 +248,43 @@ impl MetaCriticTrainer {
     /// must match the task's (the caller builds envs per task).
     pub fn train_task(&mut self, idx: usize, env: &SqlGenEnv) -> Episode {
         debug_assert_eq!(env.constraint, self.tasks[idx].constraint);
-        let ep = {
-            let task = &self.tasks[idx];
-            run_episode(&task.actor, env, true, &mut self.rng)
-        };
+        // One training lane on the trainer's own RNG.
+        let ro = &mut self.rollout;
+        let ep = ro
+            .collect(
+                &self.tasks[idx].actor,
+                env,
+                1,
+                LaneSeeds::Own(&mut self.rng),
+            )
+            .pop()
+            .expect("one lane, one episode");
 
         // Constraint encoding from the task's accumulated history.
         let (z, enc_caches) = self.critic.encoder.encode(&self.tasks[idx].triples);
 
         // Value estimates conditioned on z.
-        let input_tokens: Vec<usize> = ep.steps.iter().map(|s| s.input_token).collect();
+        let input_tokens: Vec<usize> = ro.steps[0][..ro.lens[0]]
+            .iter()
+            .map(|s| s.input_token)
+            .collect();
         let vsteps = self.critic.forward_episode(&input_tokens, &z);
         let values: Vec<f32> = vsteps.iter().map(|s| s.value).collect();
         let (advantages, dvalues) =
             crate::actor_critic::ActorCritic::td_terms(&values, &ep.rewards);
 
-        // Actor update.
+        // Actor update: the one-lane batched backward.
         let task = &mut self.tasks[idx];
-        task.actor.zero_grad();
-        task.actor
-            .backward_episode(&ep.steps, &advantages, self.cfg.lambda);
+        task.actor.ensure_grads(&mut self.grads, 1);
+        task.actor.backward_episodes_batch(
+            1,
+            &ro.steps,
+            &ro.lens,
+            std::slice::from_ref(&advantages),
+            self.cfg.lambda,
+            &mut self.grads,
+        );
+        task.actor.accumulate_grads(&mut self.grads, 1);
         let mut ap = task.actor.params_mut();
         clip_grad_norm(&mut ap, self.cfg.grad_clip);
         task.opt_actor.step(&mut ap);
@@ -272,8 +300,8 @@ impl MetaCriticTrainer {
 
         // Record this episode's triples for the next encoding.
         let task = &mut self.tasks[idx];
-        for (s, &r) in ep.steps.iter().zip(&ep.rewards) {
-            task.triples.push((s.action, r));
+        for (&a, &r) in ep.actions.iter().zip(&ep.rewards) {
+            task.triples.push((a, r));
         }
         let overflow = task.triples.len().saturating_sub(ENCODER_WINDOW);
         if overflow > 0 {
@@ -283,9 +311,14 @@ impl MetaCriticTrainer {
         ep
     }
 
-    /// Inference with task `idx`'s actor.
+    /// Inference with task `idx`'s actor (one lane on the trainer's own
+    /// RNG).
     pub fn generate(&mut self, idx: usize, env: &SqlGenEnv) -> Episode {
-        run_episode(&self.tasks[idx].actor, env, false, &mut self.rng)
+        let seeds = LaneSeeds::Own(&mut self.rng);
+        self.infer
+            .collect(&self.tasks[idx].actor, env, 1, 1, seeds)
+            .pop()
+            .expect("one lane, one episode")
     }
 
     pub fn rng_fork(&mut self) -> StdRng {

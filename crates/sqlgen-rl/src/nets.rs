@@ -26,8 +26,6 @@ pub struct NetScratch {
     x: Vec<f32>,
     /// LSTM gate pre-activations (4 × hidden).
     z: Vec<f32>,
-    /// Head output for the cacheless inference path (vocab for the actor).
-    probs: Vec<f32>,
 }
 
 /// Reusable `[B × dim]` activation arena for the batched inference path.
@@ -85,14 +83,11 @@ pub trait InferActor {
     fn vocab_size(&self) -> usize;
     /// Allocates a zeroed batched LSTM state for `batch` lanes.
     fn begin_batch(&self, batch: usize) -> LstmBatchState;
-    /// One batched inference step over lockstep lanes. Exactly one uniform
-    /// draw per *active* lane — inactive lanes ride through the GEMMs but
-    /// never touch their RNG (see [`ActorNet::infer_step_batch`]).
-    #[allow(clippy::too_many_arguments)]
+    /// One batched inference step over lockstep lanes: exactly one
+    /// uniform draw per lane (see [`ActorNet::infer_step_batch`]).
     fn infer_step_batch(
         &self,
         prev: &[Option<usize>],
-        active: &[bool],
         state: &mut LstmBatchState,
         masks: &[bool],
         rngs: &mut [StdRng],
@@ -118,6 +113,47 @@ impl NetGradsBatch {
     /// Number of lane arenas currently allocated.
     pub fn lanes(&self) -> usize {
         self.embed.len()
+    }
+
+    /// Drops every lane arena past the first `lanes`.
+    pub fn truncate(&mut self, lanes: usize) {
+        self.embed.truncate(lanes);
+        self.lstm.truncate(lanes);
+        self.head.truncate(lanes);
+    }
+
+    /// Grows to at least `batch` lane arenas shaped like the given network
+    /// parts and zeroes the first `batch`. Arenas of another shape (the
+    /// trainer's network was replaced, e.g. by a checkpoint load) are
+    /// dropped and rebuilt.
+    fn ensure(&mut self, embed: &Embedding, lstm: &LstmStack, head: &Linear, batch: usize) {
+        let fits = |g: &Mat, p: &Param| (g.rows, g.cols) == (p.value.rows, p.value.cols);
+        let stale = self.embed.first().is_some_and(|g| !fits(g, &embed.table))
+            || self.lstm.first().is_some_and(|ls| {
+                ls.len() != lstm.layers.len()
+                    || ls.iter().zip(&lstm.layers).any(|(g, l)| {
+                        !fits(&g.w_ih, &l.w_ih) || !fits(&g.w_hh, &l.w_hh) || !fits(&g.b, &l.b)
+                    })
+            })
+            || self
+                .head
+                .first()
+                .is_some_and(|g| !fits(&g.w, &head.w) || !fits(&g.b, &head.b));
+        if stale {
+            *self = NetGradsBatch::default();
+        }
+        while self.embed.len() < batch {
+            self.embed.push(embed.empty_grads());
+            self.lstm.push(lstm.empty_stack_grads());
+            self.head.push(head.empty_grads());
+        }
+        for lane in 0..batch {
+            self.embed[lane].fill(0.0);
+            for l in &mut self.lstm[lane] {
+                l.reset();
+            }
+            self.head[lane].reset();
+        }
     }
 }
 
@@ -280,31 +316,6 @@ impl ActorNet {
         step
     }
 
-    /// One *inference* step: no backward caches, no dropout, zero heap
-    /// allocations in steady state. Produces the same action stream as
-    /// [`ActorNet::step`] with `train = false` for the same RNG (one uniform
-    /// draw per token).
-    pub fn infer_step<R: Rng + ?Sized>(
-        &self,
-        prev: Option<usize>,
-        state: &mut StackState,
-        mask: &[bool],
-        rng: &mut R,
-        scratch: &mut NetScratch,
-    ) -> usize {
-        let input_token = prev.unwrap_or(self.start_token);
-        self.input_into(input_token, scratch);
-        scratch.z.resize(self.lstm.scratch_len(), 0.0);
-        self.lstm.infer_step_into(&scratch.x, state, &mut scratch.z);
-        scratch.probs.resize(self.vocab_size, 0.0);
-        self.head.forward_into(
-            &state.last().expect("non-empty stack").h,
-            &mut scratch.probs,
-        );
-        masked_softmax(&mut scratch.probs, mask);
-        sample_categorical(&scratch.probs, rng)
-    }
-
     /// Allocates a zeroed batched LSTM state for `batch` lanes.
     pub fn begin_batch(&self, batch: usize) -> LstmBatchState {
         self.lstm.zero_batch_state(batch)
@@ -312,24 +323,19 @@ impl ActorNet {
 
     /// One batched inference step over `batch` lockstep lanes.
     ///
-    /// Per lane `l` the math is bit-identical to [`ActorNet::infer_step`]
-    /// fed `prev[l]` under `masks[l·vocab..(l+1)·vocab]` with `rngs[l]`:
-    /// the batched kernels accumulate each output element in the same
-    /// left-to-right order as their serial counterparts, and each lane has
-    /// its own accumulators, so lanes cannot perturb one another.
-    ///
-    /// Inactive lanes (`active[l] == false`) are still fed through the
-    /// batched kernels (with the start-token embedding; their state is
-    /// garbage and never read) but are skipped for softmax and sampling,
-    /// so their RNG streams do not advance. Exactly one uniform draw is
-    /// taken per *active* lane per call.
+    /// Per lane `l` the sampled action is bit-identical to
+    /// [`ActorNet::step_into`] with `train = false` fed `prev[l]` under
+    /// `masks[l·vocab..(l+1)·vocab]` with `rngs[l]`: the batched kernels
+    /// accumulate each output element in the same left-to-right order as
+    /// their serial counterparts, and each lane has its own accumulators,
+    /// so lanes cannot perturb one another. Exactly one uniform draw is
+    /// taken per lane per call; no backward caches are recorded.
     // Hot path: the arguments are the rollout's split borrows — bundling
     // them into a struct would force the borrow conflicts this API avoids.
     #[allow(clippy::too_many_arguments)]
     pub fn infer_step_batch<R: Rng>(
         &self,
         prev: &[Option<usize>],
-        active: &[bool],
         state: &mut LstmBatchState,
         masks: &[bool],
         rngs: &mut [R],
@@ -338,7 +344,6 @@ impl ActorNet {
     ) {
         let batch = state.batch;
         debug_assert_eq!(prev.len(), batch);
-        debug_assert_eq!(active.len(), batch);
         debug_assert_eq!(masks.len(), batch * self.vocab_size);
         debug_assert_eq!(rngs.len(), batch);
         debug_assert_eq!(actions.len(), batch);
@@ -361,9 +366,6 @@ impl ActorNet {
         let top = state.h.last().expect("non-empty stack");
         self.head.forward_batch_into(top, batch, &mut scratch.probs);
         for lane in 0..batch {
-            if !active[lane] {
-                continue;
-            }
             let row = &mut scratch.probs[lane * self.vocab_size..(lane + 1) * self.vocab_size];
             let mask = &masks[lane * self.vocab_size..(lane + 1) * self.vocab_size];
             masked_softmax(row, mask);
@@ -373,6 +375,9 @@ impl ActorNet {
 
     /// Backpropagates the policy-gradient + entropy loss through a whole
     /// episode (Eq. 4): per step, `∂L/∂logits = A·(π − e_a) + λ·π(logπ+H)`.
+    /// The serial reference that [`ActorNet::backward_episodes_batch`]'s
+    /// per-lane arenas are checked against; the trainers use the batched
+    /// backward at every width.
     pub fn backward_episode(&mut self, steps: &[ActorStep], advantages: &[f32], lambda: f32) {
         debug_assert_eq!(steps.len(), advantages.len());
         // The scalar loss is never needed for the gradients; materialize it
@@ -429,21 +434,18 @@ impl ActorNet {
 
     /// One batched **training** step over `batch` lockstep lanes: like
     /// [`ActorNet::infer_step_batch`] but with dropout and per-lane
-    /// backward caches recorded into `steps[lane]`. Per active lane the
-    /// recorded step (caches, dropout mask, probabilities, action) is
-    /// bit-identical to a serial [`ActorNet::step_into`] fed the same
-    /// inputs and RNG: the RNG draw order per lane is dropout mask draws
-    /// then one sampling draw, and lanes own private streams, so the
-    /// cross-lane processing order cannot perturb any lane. Inactive lanes
-    /// ride through the GEMMs (start-token input, caches and steps
-    /// untouched) and draw no RNG.
+    /// backward caches recorded into `steps[lane]`. Per lane the recorded
+    /// step (caches, dropout mask, probabilities, action) is bit-identical
+    /// to a serial [`ActorNet::step_into`] fed the same inputs and RNG:
+    /// the RNG draw order per lane is dropout mask draws then one sampling
+    /// draw, and lanes own private streams, so the cross-lane processing
+    /// order cannot perturb any lane.
     // Hot path: the arguments are the rollout's split borrows — bundling
     // them into a struct would force the borrow conflicts this API avoids.
     #[allow(clippy::too_many_arguments)]
     pub fn train_step_batch<R: Rng>(
         &self,
         prev: &[Option<usize>],
-        active: &[bool],
         state: &mut LstmBatchState,
         masks: &[bool],
         rngs: &mut [R],
@@ -453,7 +455,6 @@ impl ActorNet {
     ) {
         let batch = state.batch;
         debug_assert_eq!(prev.len(), batch);
-        debug_assert_eq!(active.len(), batch);
         debug_assert_eq!(masks.len(), batch * self.vocab_size);
         debug_assert_eq!(rngs.len(), batch);
         debug_assert_eq!(steps.len(), batch);
@@ -469,12 +470,8 @@ impl ActorNet {
                     *xi += ci;
                 }
             }
-            if active[lane] {
-                steps[lane].input_token = token;
-            }
+            steps[lane].input_token = token;
         }
-        // Inactive lanes still ride through the batched LSTM step, so
-        // every lane needs a correctly shaped (if unused) cache slot.
         for step in steps.iter_mut() {
             if step.caches.len() != self.lstm.layers.len() {
                 step.caches = self.lstm.empty_cache();
@@ -484,21 +481,13 @@ impl ActorNet {
         {
             let mut caches: Vec<&mut StackCache> =
                 steps.iter_mut().map(|s| &mut s.caches).collect();
-            self.lstm.forward_step_batch_into(
-                &scratch.x,
-                state,
-                active,
-                &mut caches,
-                &mut scratch.z,
-            );
+            self.lstm
+                .forward_step_batch_into(&scratch.x, state, &mut caches, &mut scratch.z);
         }
         let hidden = self.lstm.hidden();
         let top = state.h.last().expect("non-empty stack");
         scratch.tops.resize(batch * hidden, 0.0);
         for lane in 0..batch {
-            if !active[lane] {
-                continue;
-            }
             let step = &mut *steps[lane];
             step.top.clear();
             step.top
@@ -511,9 +500,6 @@ impl ActorNet {
         self.head
             .forward_batch_into(&scratch.tops, batch, &mut scratch.probs);
         for lane in 0..batch {
-            if !active[lane] {
-                continue;
-            }
             let row = &scratch.probs[lane * self.vocab_size..(lane + 1) * self.vocab_size];
             let mask = &masks[lane * self.vocab_size..(lane + 1) * self.vocab_size];
             let step = &mut *steps[lane];
@@ -528,28 +514,20 @@ impl ActorNet {
     /// Grows `grads` to at least `batch` lane arenas and zeroes the first
     /// `batch` of them, recycling allocations across training rounds.
     pub fn ensure_grads(&self, grads: &mut NetGradsBatch, batch: usize) {
-        while grads.embed.len() < batch {
-            grads.embed.push(self.embed.empty_grads());
-            grads.lstm.push(self.lstm.empty_stack_grads());
-            grads.head.push(self.head.empty_grads());
-        }
-        for lane in 0..batch {
-            grads.embed[lane].fill(0.0);
-            for l in &mut grads.lstm[lane] {
-                l.reset();
-            }
-            grads.head[lane].reset();
-        }
+        grads.ensure(&self.embed, &self.lstm, &self.head, batch);
     }
 
-    /// Reduces the first `batch` lane arenas into `Param::grad`, in
-    /// ascending lane order (the deterministic-sum contract).
-    pub fn accumulate_grads(&mut self, grads: &NetGradsBatch, batch: usize) {
-        for lane in 0..batch {
-            self.embed.accumulate_grads(&grads.embed[lane]);
-            self.lstm.accumulate_grads(&grads.lstm[lane]);
-            self.head.accumulate_grads(&grads.head[lane]);
-        }
+    /// Sets `Param::grad` to the sum of the first `batch` lane arenas in
+    /// ascending lane order (the deterministic-sum contract) — no
+    /// [`ActorNet::zero_grad`] needed first. Lane 0's arena is swapped in
+    /// rather than added to a zeroed gradient, which is bitwise the same
+    /// (0 + g = g) and saves a zeroing and an add pass per parameter; it
+    /// comes back holding the previous gradient until the next
+    /// [`ActorNet::ensure_grads`] zeroes it.
+    pub fn accumulate_grads(&mut self, grads: &mut NetGradsBatch, batch: usize) {
+        self.embed.reduce_grads(&mut grads.embed[..batch]);
+        self.lstm.reduce_grads(&mut grads.lstm[..batch]);
+        self.head.reduce_grads(&mut grads.head[..batch]);
     }
 
     /// Lane-batched [`ActorNet::backward_episode`] over `batch` ragged
@@ -707,14 +685,13 @@ impl InferActor for ActorNet {
     fn infer_step_batch(
         &self,
         prev: &[Option<usize>],
-        active: &[bool],
         state: &mut LstmBatchState,
         masks: &[bool],
         rngs: &mut [StdRng],
         scratch: &mut BatchScratch,
         actions: &mut [usize],
     ) {
-        ActorNet::infer_step_batch(self, prev, active, state, masks, rngs, scratch, actions);
+        ActorNet::infer_step_batch(self, prev, state, masks, rngs, scratch, actions);
     }
 }
 
@@ -768,13 +745,10 @@ impl InferActor for QuantizedActor {
     }
 
     /// Mirrors [`ActorNet::infer_step_batch`] — same lane protocol, same
-    /// RNG contract (one uniform draw per active lane) — over the int8
-    /// kernels. Inactive lanes keep whatever mask rows they last had;
-    /// their head outputs are computed but never read.
+    /// RNG contract (one uniform draw per lane) — over the int8 kernels.
     fn infer_step_batch(
         &self,
         prev: &[Option<usize>],
-        active: &[bool],
         state: &mut LstmBatchState,
         masks: &[bool],
         rngs: &mut [StdRng],
@@ -783,7 +757,6 @@ impl InferActor for QuantizedActor {
     ) {
         let batch = state.batch;
         debug_assert_eq!(prev.len(), batch);
-        debug_assert_eq!(active.len(), batch);
         debug_assert_eq!(masks.len(), batch * self.vocab_size);
         debug_assert_eq!(rngs.len(), batch);
         debug_assert_eq!(actions.len(), batch);
@@ -813,9 +786,6 @@ impl InferActor for QuantizedActor {
         // actions — and each lane's RNG stream — are unchanged.
         let hidden = self.lstm.hidden();
         for lane in 0..batch {
-            if !active[lane] {
-                continue;
-            }
             let mask = &masks[lane * self.vocab_size..(lane + 1) * self.vocab_size];
             scratch.ids.clear();
             scratch
@@ -964,7 +934,8 @@ impl CriticNet {
         step
     }
 
-    /// Backpropagates per-step value-loss gradients `dL/dV_t`.
+    /// Backpropagates per-step value-loss gradients `dL/dV_t`. The serial
+    /// reference for [`CriticNet::backward_episodes_batch`].
     pub fn backward_episode(&mut self, steps: &[CriticStep], dvalues: &[f32]) {
         debug_assert_eq!(steps.len(), dvalues.len());
         let hidden = self.lstm.hidden();
@@ -999,16 +970,14 @@ impl CriticNet {
     }
 
     /// One batched critic step over lockstep lanes: mirrors
-    /// [`CriticNet::step_into`] per active lane (dropout draws from the
+    /// [`CriticNet::step_into`] per lane (dropout draws from the
     /// lane's own RNG, then the scalar head), recording backward caches
     /// into `steps[lane]`. The scalar head is evaluated per lane — at
     /// `hidden → 1` there is nothing to amortize; the batching win is the
-    /// LSTM forward. Inactive lanes ride through the GEMMs and draw no
-    /// RNG.
+    /// LSTM forward.
     pub fn forward_step_batch<R: Rng>(
         &self,
         prev: &[Option<usize>],
-        active: &[bool],
         state: &mut LstmBatchState,
         rngs: &mut [R],
         scratch: &mut BatchScratch,
@@ -1016,7 +985,6 @@ impl CriticNet {
     ) {
         let batch = state.batch;
         debug_assert_eq!(prev.len(), batch);
-        debug_assert_eq!(active.len(), batch);
         debug_assert_eq!(rngs.len(), batch);
         debug_assert_eq!(steps.len(), batch);
         let embed_dim = self.embed.dim();
@@ -1030,12 +998,8 @@ impl CriticNet {
                     *xi += ci;
                 }
             }
-            if active[lane] {
-                steps[lane].input_token = token;
-            }
+            steps[lane].input_token = token;
         }
-        // Inactive lanes still ride through the batched LSTM step, so
-        // every lane needs a correctly shaped (if unused) cache slot.
         for step in steps.iter_mut() {
             if step.caches.len() != self.lstm.layers.len() {
                 step.caches = self.lstm.empty_cache();
@@ -1045,20 +1009,12 @@ impl CriticNet {
         {
             let mut caches: Vec<&mut StackCache> =
                 steps.iter_mut().map(|s| &mut s.caches).collect();
-            self.lstm.forward_step_batch_into(
-                &scratch.x,
-                state,
-                active,
-                &mut caches,
-                &mut scratch.z,
-            );
+            self.lstm
+                .forward_step_batch_into(&scratch.x, state, &mut caches, &mut scratch.z);
         }
         let hidden = self.lstm.hidden();
         let top = state.h.last().expect("non-empty stack");
         for lane in 0..batch {
-            if !active[lane] {
-                continue;
-            }
             let step = &mut *steps[lane];
             step.top.clear();
             step.top
@@ -1073,27 +1029,14 @@ impl CriticNet {
 
     /// See [`ActorNet::ensure_grads`].
     pub fn ensure_grads(&self, grads: &mut NetGradsBatch, batch: usize) {
-        while grads.embed.len() < batch {
-            grads.embed.push(self.embed.empty_grads());
-            grads.lstm.push(self.lstm.empty_stack_grads());
-            grads.head.push(self.head.empty_grads());
-        }
-        for lane in 0..batch {
-            grads.embed[lane].fill(0.0);
-            for l in &mut grads.lstm[lane] {
-                l.reset();
-            }
-            grads.head[lane].reset();
-        }
+        grads.ensure(&self.embed, &self.lstm, &self.head, batch);
     }
 
     /// See [`ActorNet::accumulate_grads`].
-    pub fn accumulate_grads(&mut self, grads: &NetGradsBatch, batch: usize) {
-        for lane in 0..batch {
-            self.embed.accumulate_grads(&grads.embed[lane]);
-            self.lstm.accumulate_grads(&grads.lstm[lane]);
-            self.head.accumulate_grads(&grads.head[lane]);
-        }
+    pub fn accumulate_grads(&mut self, grads: &mut NetGradsBatch, batch: usize) {
+        self.embed.reduce_grads(&mut grads.embed[..batch]);
+        self.lstm.reduce_grads(&mut grads.lstm[..batch]);
+        self.head.reduce_grads(&mut grads.head[..batch]);
     }
 
     /// Lane-batched [`CriticNet::backward_episode`]; the per-lane arena

@@ -4,14 +4,13 @@
 //! exactly the ablation the paper compares the actor-critic against in
 //! Figure 8 (high return variance, slower/noisier convergence).
 
+use crate::batch::{BatchRollout, LaneSeeds};
 use crate::env::SqlGenEnv;
-use crate::episode::{
-    rewards_to_go_into, run_episode_infer, run_episode_into, Episode, InferRollout, Rollout,
-};
-use crate::nets::{ActorNet, ActorStep, NetConfig, NetGradsBatch, QuantizedActor};
+use crate::episode::{rewards_to_go_into, Episode};
+use crate::nets::{ActorNet, NetConfig, NetGradsBatch, QuantizedActor};
 use crate::train_batch::TrainRollout;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sqlgen_nn::{clip_grad_norm, Adam, Optimizer};
 
 /// Trainer hyper-parameters (paper §7.1 values as defaults).
@@ -45,12 +44,16 @@ pub struct Reinforce {
     pub cfg: TrainConfig,
     opt: Adam,
     rng: StdRng,
-    /// Recycled training-rollout arena (caches, scratch, LSTM state).
-    rollout: Rollout,
-    /// Recycled inference-rollout buffers.
-    infer: InferRollout,
-    /// Recycled returns buffer.
-    returns: Vec<f32>,
+    /// Training-rollout lanes and step arenas, kept across calls.
+    rollout: TrainRollout,
+    /// Per-lane gradient arenas. Lane 0's is kept across calls, so
+    /// batch-1 training reuses it every episode; wider calls give the
+    /// other lanes' full-size arenas back when they return.
+    grads: NetGradsBatch,
+    /// Per-lane returns buffers.
+    returns: Vec<Vec<f32>>,
+    /// Inference lanes, kept across calls.
+    infer: BatchRollout,
 }
 
 impl Reinforce {
@@ -63,113 +66,94 @@ impl Reinforce {
             cfg,
             opt,
             rng,
-            rollout: Rollout::new(),
-            infer: InferRollout::new(),
+            rollout: TrainRollout::new(),
+            grads: NetGradsBatch::default(),
             returns: Vec::new(),
+            infer: BatchRollout::new(),
         }
-    }
-
-    /// One policy-gradient update from a finished episode's steps/rewards.
-    fn apply_update(&mut self, steps: &[ActorStep], rewards: &[f32]) {
-        let mut returns = std::mem::take(&mut self.returns);
-        rewards_to_go_into(rewards, &mut returns);
-        self.actor.zero_grad();
-        self.actor
-            .backward_episode(steps, &returns, self.cfg.lambda);
-        let mut params = self.actor.params_mut();
-        clip_grad_norm(&mut params, self.cfg.grad_clip);
-        self.opt.step(&mut params);
-        self.returns = returns;
     }
 
     /// Runs one training episode and updates the policy. Returns the episode.
     pub fn train_episode(&mut self, env: &SqlGenEnv) -> Episode {
-        let mut ro = std::mem::take(&mut self.rollout);
-        let ep = run_episode_into(&self.actor, env, true, &mut self.rng, &mut ro);
-        self.apply_update(ro.steps(), &ep.rewards);
-        self.rollout = ro;
-        ep
+        self.train_batched(env, 1, 1)
+            .pop()
+            .expect("one episode per call")
     }
 
     /// Trains on `episodes` episodes with up to `batch` lockstep GEMM
     /// lanes (batched BPTT with gradient accumulation).
     ///
     /// Each round rolls one episode per lane under the current policy
-    /// (lane token streams bitwise match serial rollouts of the lane
-    /// seeds), runs one lane-batched backward into per-lane gradient
-    /// arenas, reduces the arenas in ascending lane order, and applies
-    /// **one** clipped Adam step for the whole round. `batch <= 1` is the
-    /// exact legacy serial path; larger batches are reproducible per
-    /// `(seed, batch)` but a different deterministic run than serial
-    /// training (one accumulated update per round instead of one per
-    /// episode). See [`crate::train_batch`].
+    /// (lane streams per [`LaneSeeds::for_width`]; each lane's tokens
+    /// bitwise match the reference rollout of its stream), runs one
+    /// lane-batched backward into per-lane gradient arenas, reduces the
+    /// arenas in ascending lane order, and applies **one** clipped Adam
+    /// step for the whole round. `batch = 1` is one episode and one update
+    /// per round on the trainer's own RNG; larger batches are reproducible
+    /// per `(seed, batch)` but a different deterministic run (one
+    /// accumulated update per round). See [`crate::train_batch`].
     pub fn train_batched(
         &mut self,
         env: &SqlGenEnv,
         episodes: usize,
         batch: usize,
     ) -> Vec<Episode> {
-        if batch <= 1 {
-            return (0..episodes).map(|_| self.train_episode(env)).collect();
-        }
-        let mut ro = TrainRollout::new();
-        let mut grads = NetGradsBatch::default();
-        let mut advantages: Vec<Vec<f32>> = Vec::new();
         let mut out = Vec::with_capacity(episodes);
         let mut remaining = episodes;
         while remaining > 0 {
             // One round = one episode per lane, bounding policy staleness
             // at `batch` episodes.
-            let b = remaining.min(batch);
-            let base: u64 = self.rng.random();
-            let eps = ro.collect(&self.actor, env, b, base);
-            if advantages.len() < b {
-                advantages.resize_with(b, Vec::new);
+            let b = remaining.min(batch.max(1));
+            let seeds = LaneSeeds::for_width(&mut self.rng, batch);
+            let eps = self.rollout.collect(&self.actor, env, b, seeds);
+            if self.returns.len() < b {
+                self.returns.resize_with(b, Vec::new);
             }
             for (lane, ep) in eps.iter().enumerate() {
-                rewards_to_go_into(&ep.rewards, &mut advantages[lane]);
+                rewards_to_go_into(&ep.rewards, &mut self.returns[lane]);
             }
-            self.actor.ensure_grads(&mut grads, b);
+            self.actor.ensure_grads(&mut self.grads, b);
             self.actor.backward_episodes_batch(
                 b,
-                &ro.steps,
-                &ro.lens,
-                &advantages,
+                &self.rollout.steps,
+                &self.rollout.lens,
+                &self.returns,
                 self.cfg.lambda,
-                &mut grads,
+                &mut self.grads,
             );
-            self.actor.zero_grad();
-            self.actor.accumulate_grads(&grads, b);
+            self.actor.accumulate_grads(&mut self.grads, b);
             let mut params = self.actor.params_mut();
             clip_grad_norm(&mut params, self.cfg.grad_clip);
             self.opt.step(&mut params);
             out.extend(eps);
             remaining -= b;
         }
+        self.grads.truncate(1);
         out
     }
 
     /// Generates a query without updating the network (inference).
     pub fn generate(&mut self, env: &SqlGenEnv) -> Episode {
-        run_episode_infer(&self.actor, env, &mut self.rng, &mut self.infer)
+        self.generate_batched(env, 1, 1)
+            .pop()
+            .expect("one episode per call")
     }
 
     /// Generates `n` queries with `batch` lockstep GEMM lanes (no updates).
-    /// `batch <= 1` matches [`Reinforce::generate`] in a loop bit-for-bit;
-    /// larger batches are reproducible per (seed, batch) — see
-    /// [`crate::batch`] for the determinism contract.
+    /// `batch = 1` runs one lane on the trainer's own RNG, exactly like
+    /// [`Reinforce::generate`] in a loop; larger batches are reproducible
+    /// per (seed, batch) — see [`crate::batch`] for the determinism
+    /// contract.
     pub fn generate_batched(&mut self, env: &SqlGenEnv, n: usize, batch: usize) -> Vec<Episode> {
-        if batch <= 1 {
-            return (0..n).map(|_| self.generate(env)).collect();
-        }
-        let base: u64 = self.rng.random();
-        crate::batch::collect_episodes_batched(&self.actor, env, n, batch, base)
+        let seeds = LaneSeeds::for_width(&mut self.rng, batch);
+        self.infer.collect(&self.actor, env, n, batch, seeds)
     }
 
     /// Generates `n` queries on an int8 snapshot of the actor with `batch`
-    /// lockstep lanes (no updates). Same engine and determinism contract
-    /// as [`Reinforce::generate_batched`]; the sampled streams differ from
-    /// the f32 path only within the quantization error of the logits.
+    /// lockstep lanes (no updates). Same engine, lane seeding and
+    /// determinism contract as [`Reinforce::generate_batched`]; the
+    /// sampled streams differ from the f32 path only within the
+    /// quantization error of the logits.
     pub fn generate_batched_quant(
         &mut self,
         quant: &QuantizedActor,
@@ -177,8 +161,8 @@ impl Reinforce {
         n: usize,
         batch: usize,
     ) -> Vec<Episode> {
-        let base: u64 = self.rng.random();
-        crate::batch::collect_episodes_batched(quant, env, n, batch.max(1), base)
+        let seeds = LaneSeeds::for_width(&mut self.rng, batch);
+        self.infer.collect(quant, env, n, batch, seeds)
     }
 }
 
@@ -233,6 +217,40 @@ mod tests {
             late > early,
             "no improvement: early {early:.3} late {late:.3}"
         );
+    }
+
+    /// The trainer keeps its gradient arenas across calls; swapping in an
+    /// actor of another shape (as a checkpoint load can) must rebuild them
+    /// rather than swap stale-shaped gradients into the new parameters.
+    #[test]
+    fn replacing_the_actor_rebuilds_gradient_arenas() {
+        let db = tpch_database(0.1, 9);
+        let vocab = Vocabulary::build(
+            &db,
+            &SampleConfig {
+                k: 8,
+                ..Default::default()
+            },
+        );
+        let est = Estimator::build(&db);
+        let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_point(100.0));
+        let net = |hidden| NetConfig {
+            embed_dim: 8,
+            hidden,
+            layers: 1,
+            dropout: 0.0,
+        };
+        let cfg = TrainConfig {
+            net: net(8),
+            ..Default::default()
+        };
+        let mut trainer = Reinforce::new(vocab.size(), cfg);
+        trainer.train_episode(&env);
+        trainer.actor = ActorNet::new(vocab.size(), &net(12), 3);
+        trainer.train_episode(&env);
+        for p in trainer.actor.params_mut() {
+            assert_eq!((p.grad.rows, p.grad.cols), (p.value.rows, p.value.cols));
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Lane-batched training rollouts: batched BPTT with gradient accumulation.
+//! Lane-batched training rollouts: batched BPTT with gradient accumulation
+//! — the one training engine, at every width.
 //!
 //! The lockstep inference engine in [`crate::batch`] amortizes weight reads
 //! across lanes for generation; this module extends the same lane protocol
@@ -11,28 +12,28 @@
 //!
 //! Determinism contract:
 //!
-//! * lane `l` draws from the RNG stream seeded [`worker_seed`]`(base, l)`
-//!   and its collected episode is bit-identical to a serial
-//!   [`run_episode_into`](crate::episode::run_episode_into) with that seed
-//!   (same dropout and sampling draws, same batched-kernel accumulation
-//!   order as the serial kernels);
+//! * each lane's collected episode is bit-identical to the reference
+//!   [`run_episode`](crate::episode::run_episode) (`train = true`) on that
+//!   lane's stream (same dropout and sampling draws, same batched-kernel
+//!   accumulation order as the serial kernels). Lane streams come from
+//!   [`LaneSeeds`]: at width 1 the trainer's own RNG, wider
+//!   [`worker_seed`](crate::batch::worker_seed)`(base, l)`;
 //! * each lane's gradient arena is bit-identical to a serial backward of
 //!   that lane's episode alone; arenas reduce into `Param::grad` in
 //!   ascending lane order, so the summed gradient is deterministic;
 //! * a round applies one accumulated update instead of one update per
 //!   episode, so `batch > 1` training is a *different* (but
-//!   per-`(seed, batch)` reproducible) run than serial training.
-//!   `batch <= 1` delegates to the legacy serial path upstream,
-//!   bit-exactly.
+//!   per-`(seed, batch)` reproducible) run than `batch = 1` training,
+//!   which is one round — one episode, one update — at a time.
 
-use crate::batch::worker_seed;
+use crate::batch::{record_step_latency, LaneSeeds, Lanes};
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::episode::{finish_episode, Episode};
-use crate::nets::{ActorNet, ActorStep, BatchScratch, CriticNet, CriticStep};
+use crate::nets::{ActorNet, ActorStep, CriticNet, CriticStep};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sqlgen_fsm::GenState;
 use sqlgen_nn::LstmBatchState;
+use std::time::Instant;
 
 /// One in-flight training episode owned by a lane.
 struct LaneRun<'a> {
@@ -40,29 +41,29 @@ struct LaneRun<'a> {
     shaper: RewardShaper,
     actions: Vec<usize>,
     rewards: Vec<f32>,
+    /// Logical lane (index into the step arenas and the output).
+    lane: usize,
 }
 
-/// Reusable buffers for lane-batched training rounds: the batched LSTM
-/// states, the per-lane [`ActorStep`]/[`CriticStep`] arenas, and the
-/// lockstep bookkeeping. One instance serves many rounds; arenas grow to
-/// the longest episode seen and are then allocation-free.
+/// Reusable buffers for lane-batched training rounds: the lockstep lane
+/// buffers, the critic's batched LSTM state, and the per-lane
+/// [`ActorStep`]/[`CriticStep`] arenas. One instance serves many rounds.
+/// Each round first returns every lane's steps to a spare pool and grows
+/// lanes from it, so the arenas hold about one round's worth of steps
+/// (not every lane's longest episode ever) and, once the pool covers a
+/// round, rounds allocate no steps.
 #[derive(Default)]
 pub struct TrainRollout {
-    state: LstmBatchState,
+    lanes: Lanes,
     cstate: LstmBatchState,
-    scratch: BatchScratch,
-    /// Row-major `[batch × vocab]` FSM mask block.
-    masks: Vec<bool>,
-    prev: Vec<Option<usize>>,
-    active: Vec<bool>,
-    actions: Vec<usize>,
-    rngs: Vec<StdRng>,
     /// Per-lane actor step arenas; `steps[lane][..lens[lane]]` live.
     pub steps: Vec<Vec<ActorStep>>,
     pub lens: Vec<usize>,
     /// Per-lane critic step arenas (used by the actor-critic trainer);
     /// `csteps[lane][..lens[lane]]` live after [`TrainRollout::critic_forward`].
     pub csteps: Vec<Vec<CriticStep>>,
+    spare_steps: Vec<ActorStep>,
+    spare_csteps: Vec<CriticStep>,
 }
 
 impl TrainRollout {
@@ -70,78 +71,61 @@ impl TrainRollout {
         Self::default()
     }
 
-    /// Rolls out one **training** episode per lane in lockstep (dropout
-    /// on, backward caches recorded into `self.steps`). Lane `l` seeds its
-    /// RNG with [`worker_seed`]`(base, l)`; its episode is bit-identical
-    /// to a serial training rollout with that stream. Returns episodes in
-    /// lane order (steps stay in the arena, like
-    /// [`Rollout`](crate::episode::Rollout)).
+    /// Rolls out one **training** episode per lane (`batch` lanes) in
+    /// lockstep, dropout on, backward caches recorded into `self.steps`;
+    /// lane streams come from `seeds`. Each lane's episode is
+    /// bit-identical to a serial training rollout on its stream. Returns
+    /// episodes in lane order (steps stay in the arena).
     ///
     /// Finished lanes are **compacted away** ([`Vec::swap_remove`]-style):
-    /// physical slot `p` hosts logical lane `order[p]`, every per-slot
+    /// physical slot `p` hosts logical lane `runs[p].lane`, every per-slot
     /// buffer (LSTM state, masks, RNGs, …) shrinks with the live set, and
-    /// the batched kernels always run at the live width. Legal because a
-    /// lane's forward math reads only its own slot — the batched kernels
-    /// are bitwise position- and width-independent per lane — and each
-    /// lane's RNG stream travels with its slot.
+    /// the batched kernels always run at the live width.
     pub fn collect(
         &mut self,
         actor: &ActorNet,
         env: &SqlGenEnv,
         batch: usize,
-        base: u64,
+        mut seeds: LaneSeeds,
     ) -> Vec<Episode> {
         let b = batch.max(1);
         let vocab = env.action_space();
-        self.state = actor.begin_batch(b);
-        self.masks.clear();
-        self.masks.resize(b * vocab, false);
-        self.prev.clear();
-        self.prev.resize(b, None);
-        self.active.clear();
-        self.active.resize(b, true);
-        self.actions.clear();
-        self.actions.resize(b, 0);
-        self.rngs.clear();
-        self.rngs
-            .extend((0..b).map(|w| StdRng::seed_from_u64(worker_seed(base, w))));
+        let lanes = &mut self.lanes;
+        lanes.start(actor.begin_batch(b), vocab, (0..b).map(|l| seeds.lane(l)));
+        for arena in &mut self.steps {
+            self.spare_steps.append(arena);
+        }
         if self.steps.len() < b {
             self.steps.resize_with(b, Vec::new);
         }
         self.lens.clear();
         self.lens.resize(b, 0);
 
-        let mut runs: Vec<Option<LaneRun>> = (0..b)
-            .map(|_| {
-                Some(LaneRun {
-                    state: env.reset(),
-                    shaper: RewardShaper::new(),
-                    actions: Vec::new(),
-                    rewards: Vec::new(),
-                })
+        let mut runs: Vec<LaneRun> = (0..b)
+            .map(|lane| LaneRun {
+                state: env.reset(),
+                shaper: RewardShaper::new(),
+                actions: Vec::new(),
+                rewards: Vec::new(),
+                lane,
             })
             .collect();
         let mut out: Vec<Option<Episode>> = (0..b).map(|_| None).collect();
-        // Physical slot `p` → logical lane `order[p]`.
-        let mut order: Vec<usize> = (0..b).collect();
+        let mut done_slots: Vec<usize> = Vec::new();
 
         let mut t = 0usize;
-        while !order.is_empty() {
-            let w = order.len();
-            let start = sqlgen_obs::timing_enabled().then(std::time::Instant::now);
-            for (p, &lane) in order.iter().enumerate() {
-                runs[lane]
-                    .as_ref()
-                    .expect("live lane has a run")
-                    .state
-                    .mask_into_row(&mut self.masks, p);
+        while !runs.is_empty() {
+            let w = runs.len();
+            let start = sqlgen_obs::timing_enabled().then(Instant::now);
+            for (p, run) in runs.iter().enumerate() {
+                run.state.mask_into_row(&mut lanes.masks, p);
             }
-            // Every live lane gets an arena slot at `t` (the arena reaches
-            // the longest episode's length and is then reused verbatim).
-            for &lane in &order {
-                let arena = &mut self.steps[lane];
+            // Every live lane gets an arena slot at `t`, from the spare
+            // pool while it lasts.
+            for run in &runs {
+                let arena = &mut self.steps[run.lane];
                 while arena.len() <= t {
-                    arena.push(ActorStep::default());
+                    arena.push(self.spare_steps.pop().unwrap_or_default());
                 }
             }
             {
@@ -149,62 +133,49 @@ impl TrainRollout {
                 // taken exactly once, in physical-slot order.
                 let mut slots: Vec<Option<&mut Vec<ActorStep>>> =
                     self.steps[..b].iter_mut().map(Some).collect();
-                let mut cur: Vec<&mut ActorStep> = order
+                let mut cur: Vec<&mut ActorStep> = runs
                     .iter()
-                    .map(|&lane| {
-                        let arena = slots[lane].take().expect("lanes are distinct");
+                    .map(|run| {
+                        let arena = slots[run.lane].take().expect("lanes are distinct");
                         &mut arena[t]
                     })
                     .collect();
                 actor.train_step_batch(
-                    &self.prev[..w],
-                    &self.active[..w],
-                    &mut self.state,
-                    &self.masks[..w * vocab],
-                    &mut self.rngs[..w],
-                    &mut self.scratch,
+                    &lanes.prev,
+                    &mut lanes.state,
+                    &lanes.masks[..w * vocab],
+                    &mut lanes.rngs,
+                    &mut lanes.scratch,
                     &mut cur,
-                    &mut self.actions[..w],
+                    &mut lanes.actions,
                 );
             }
-            let mut done_slots: Vec<usize> = Vec::new();
-            for (p, &lane) in order.iter().enumerate() {
-                let run = runs[lane].as_mut().expect("live lane has a run");
-                let action = self.actions[p];
+            done_slots.clear();
+            for (p, run) in runs.iter_mut().enumerate() {
+                let action = lanes.actions[p];
                 let (reward, done) = env.step(&mut run.state, action, &mut run.shaper);
-                self.prev[p] = Some(action);
+                lanes.prev[p] = Some(action);
                 run.actions.push(action);
                 run.rewards.push(reward);
-                self.lens[lane] = t + 1;
+                self.lens[run.lane] = t + 1;
                 if done {
-                    let LaneRun {
-                        state,
-                        actions,
-                        rewards,
-                        ..
-                    } = runs[lane].take().expect("live lane has a run");
-                    out[lane] = Some(finish_episode(env, &state, actions, rewards));
                     done_slots.push(p);
                 }
             }
             // Compact finished slots out, highest physical index first so
             // each swap_remove only moves a still-live slot.
             for &p in done_slots.iter().rev() {
-                self.state.swap_remove_lane(p);
-                self.rngs.swap_remove(p);
-                self.prev.swap_remove(p);
-                self.actions.swap_remove(p);
-                order.swap_remove(p);
+                let LaneRun {
+                    state,
+                    actions,
+                    rewards,
+                    lane,
+                    ..
+                } = runs.swap_remove(p);
+                out[lane] = Some(finish_episode(env, &state, actions, rewards));
+                seeds.retire(lanes.swap_remove(p));
             }
-            self.active.truncate(order.len());
-            if let Some(start) = start {
-                // One histogram sample per emitted token (matching the
-                // serial path's count contract) at the amortized cost.
-                let us = start.elapsed().as_nanos() as f64 / 1_000.0 / w.max(1) as f64;
-                for _ in 0..w {
-                    sqlgen_obs::obs_record!("rl.step.latency_us", us);
-                }
-            }
+            record_step_latency(start, w);
             t += 1;
         }
         out.into_iter()
@@ -214,8 +185,7 @@ impl TrainRollout {
 
     /// Runs the critic over every lane's collected token stream in
     /// lockstep, filling `self.csteps[lane][..self.lens[lane]]`.
-    /// `crngs[lane]` drives lane `lane`'s dropout draws — the batched
-    /// sibling of the per-episode critic RNG of the serial update path.
+    /// `crngs[lane]` drives lane `lane`'s dropout draws.
     /// Input tokens the critic does not own (the actor's BOS/context rows,
     /// `>= critic.vocab_size`) fall back to the critic's own start token,
     /// exactly like the serial forward.
@@ -230,6 +200,9 @@ impl TrainRollout {
         debug_assert!(self.lens.len() >= b);
         debug_assert_eq!(crngs.len(), b);
         self.cstate = critic.begin_batch(b);
+        for arena in &mut self.csteps {
+            self.spare_csteps.append(arena);
+        }
         if self.csteps.len() < b {
             self.csteps.resize_with(b, Vec::new);
         }
@@ -237,30 +210,29 @@ impl TrainRollout {
         // Physical slot `p` → logical lane `order[p]`, longest first.
         let order = sqlgen_nn::ragged_order(&self.lens[..b]);
         let mut prngs: Vec<StdRng> = order.iter().map(|&lane| crngs[lane].clone()).collect();
-        self.prev.clear();
-        self.prev.resize(b, None);
-        self.active.clear();
-        self.active.resize(b, true);
+        let prev = &mut self.lanes.prev;
+        prev.clear();
+        prev.resize(b, None);
         for t in 0..max_t {
-            let n_active = order.iter().take_while(|&&l| self.lens[l] > t).count();
-            if n_active < self.cstate.batch {
-                self.cstate.truncate_lanes(n_active);
+            let n_live = order.iter().take_while(|&&l| self.lens[l] > t).count();
+            if n_live < self.cstate.batch {
+                self.cstate.truncate_lanes(n_live);
             }
-            for (p, &lane) in order[..n_active].iter().enumerate() {
+            for (p, &lane) in order[..n_live].iter().enumerate() {
                 let tok = self.steps[lane][t].input_token;
-                self.prev[p] = if tok >= critic.vocab_size {
+                prev[p] = if tok >= critic.vocab_size {
                     None
                 } else {
                     Some(tok)
                 };
                 let arena = &mut self.csteps[lane];
                 while arena.len() <= t {
-                    arena.push(CriticStep::default());
+                    arena.push(self.spare_csteps.pop().unwrap_or_default());
                 }
             }
             let mut slots: Vec<Option<&mut Vec<CriticStep>>> =
                 self.csteps[..b].iter_mut().map(Some).collect();
-            let mut cur: Vec<&mut CriticStep> = order[..n_active]
+            let mut cur: Vec<&mut CriticStep> = order[..n_live]
                 .iter()
                 .map(|&lane| {
                     let arena = slots[lane].take().expect("lanes are distinct");
@@ -268,11 +240,10 @@ impl TrainRollout {
                 })
                 .collect();
             critic.forward_step_batch(
-                &self.prev[..n_active],
-                &self.active[..n_active],
+                &prev[..n_live],
                 &mut self.cstate,
-                &mut prngs[..n_active],
-                &mut self.scratch,
+                &mut prngs[..n_live],
+                &mut self.lanes.scratch,
                 &mut cur,
             );
         }

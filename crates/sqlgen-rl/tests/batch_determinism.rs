@@ -1,10 +1,8 @@
 //! Determinism contract of the batched GEMM inference engine.
 //!
 //! * Per-lane equivalence: every lane of a batched rollout reproduces, bit
-//!   for bit, the serial `run_episode_infer` stream of that lane's seed
-//!   (`base ^ lane`), including across continuous lane refills.
-//! * `batch_size = 1` through the trainer facade is bit-identical to the
-//!   legacy per-episode generation loop.
+//!   for bit, the reference `run_episode` (`train = false`) stream of that
+//!   lane's seed (`base ^ lane`), including across continuous lane refills.
 //! * A fixed `(seed, batch_size)` pair is reproducible run-to-run.
 
 use rand::rngs::StdRng;
@@ -12,7 +10,7 @@ use rand::SeedableRng;
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;
 use sqlgen_rl::{
-    run_episode_infer, worker_seed, ActorCritic, ActorNet, BatchRollout, Constraint, InferRollout,
+    run_episode, worker_seed, ActorCritic, ActorNet, BatchRollout, Constraint, LaneSeeds,
     NetConfig, SqlGenEnv, TrainConfig,
 };
 use sqlgen_storage::gen::tpch_database;
@@ -45,7 +43,7 @@ fn testbed() -> (Database, Vocabulary) {
 }
 
 /// Each lane of the batched engine emits exactly the token/reward streams a
-/// serial inference loop produces for that lane's seed, on a TPC-H-scale
+/// reference inference loop produces for that lane's seed, on a TPC-H-scale
 /// vocabulary and with more jobs than lanes (forcing refills mid-run).
 #[test]
 fn batched_lanes_match_serial_inference_on_tpch() {
@@ -58,16 +56,15 @@ fn batched_lanes_match_serial_inference_on_tpch() {
     for &batch in &[2usize, 8] {
         let n = 2 * batch + 3; // uneven: some lanes run one extra episode
         let mut ro = BatchRollout::new();
-        let tagged = ro.collect_tagged(&actor, &env, n, batch, base);
+        let tagged = ro.collect_tagged(&actor, &env, n, batch, LaneSeeds::Base(base));
         assert_eq!(tagged.len(), n);
 
         for lane in 0..batch {
             let mut lane_eps: Vec<_> = tagged.iter().filter(|(_, l, _)| *l == lane).collect();
             lane_eps.sort_by_key(|(job, _, _)| *job);
             let mut rng = StdRng::seed_from_u64(worker_seed(base, lane));
-            let mut iro = InferRollout::new();
             for (job, _, ep) in lane_eps {
-                let serial = run_episode_infer(&actor, &env, &mut rng, &mut iro);
+                let serial = run_episode(&actor, &env, false, &mut rng);
                 assert_eq!(
                     ep.actions, serial.actions,
                     "batch={batch} lane={lane} job={job}: token stream diverged"
@@ -79,30 +76,6 @@ fn batched_lanes_match_serial_inference_on_tpch() {
             }
         }
     }
-}
-
-/// Through the trainer facade, `generate_batched(n, 1)` is the legacy
-/// serial path: identical episodes, same trainer RNG consumption.
-#[test]
-fn facade_batch_one_is_bit_identical_to_legacy_generate() {
-    let (db, vocab) = testbed();
-    let est = Estimator::build(&db);
-    let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(100.0, 800.0));
-
-    let legacy: Vec<Vec<usize>> = {
-        let mut ac = ActorCritic::new(vocab.size(), cfg());
-        ac.train_batched(&env, 10, 1);
-        (0..6).map(|_| ac.generate(&env).actions).collect()
-    };
-    let batched: Vec<Vec<usize>> = {
-        let mut ac = ActorCritic::new(vocab.size(), cfg());
-        ac.train_batched(&env, 10, 1);
-        ac.generate_batched(&env, 6, 1)
-            .into_iter()
-            .map(|ep| ep.actions)
-            .collect()
-    };
-    assert_eq!(legacy, batched, "batch_size=1 is not the legacy path");
 }
 
 /// A fixed `(seed, batch_size)` is bit-reproducible run-to-run through the

@@ -1,11 +1,10 @@
 //! Determinism contract of lane-batched training (batched BPTT).
 //!
-//! * Per-lane gradient equivalence: every lane's gradient arena from the
-//!   batched backward is bit-identical to a serial `backward_episode` of
-//!   that lane's episode alone, at several batch widths, for both the
-//!   actor and the critic.
-//! * `batch <= 1` through the trainer facade is bit-identical to the
-//!   legacy per-episode training loop.
+//! * Per-lane gradient equivalence: every lane's episode equals the
+//!   reference `run_episode` (`train = true`) of its seed, and every
+//!   lane's gradient arena from the batched backward is bit-identical to a
+//!   serial `backward_episode` of that lane's episode alone, at several
+//!   batch widths, for both the actor and the critic.
 //! * A fixed `(seed, batch)` training run is reproducible run-to-run.
 
 use rand::rngs::StdRng;
@@ -13,8 +12,8 @@ use rand::SeedableRng;
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;
 use sqlgen_rl::{
-    collect_episodes_batched, rewards_to_go, run_episode_into, worker_seed, ActorCritic, ActorNet,
-    Constraint, CriticNet, NetConfig, NetGradsBatch, QuantizedActor, Rollout, SqlGenEnv,
+    collect_episodes_batched, rewards_to_go, run_episode, worker_seed, ActorCritic, ActorNet,
+    Constraint, CriticNet, LaneSeeds, NetConfig, NetGradsBatch, QuantizedActor, SqlGenEnv,
     TrainConfig, TrainRollout,
 };
 use sqlgen_storage::gen::tpch_database;
@@ -47,7 +46,7 @@ fn testbed() -> (Database, Vocabulary) {
 }
 
 /// Batched training collection + batched BPTT produce, per lane, exactly
-/// the episode and the gradients a serial rollout + `backward_episode`
+/// the episode and the gradients a reference rollout + `backward_episode`
 /// with that lane's seed produces — for the actor and the critic, at
 /// several batch widths, on a TPC-H-scale vocabulary.
 #[test]
@@ -62,7 +61,7 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
 
     for &batch in &[2usize, 4, 8] {
         let mut ro = TrainRollout::new();
-        let eps = ro.collect(&actor, &env, batch, base);
+        let eps = ro.collect(&actor, &env, batch, LaneSeeds::Base(base));
         assert_eq!(eps.len(), batch);
 
         // Batched actor backward into per-lane arenas.
@@ -99,9 +98,8 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
         for lane in 0..batch {
             // Serial reference: same seed must reproduce the lane's episode.
             let mut rng = StdRng::seed_from_u64(worker_seed(base, lane));
-            let mut sro = Rollout::new();
             let mut a2 = actor.clone();
-            let serial = run_episode_into(&a2, &env, true, &mut rng, &mut sro);
+            let serial = run_episode(&a2, &env, true, &mut rng);
             assert_eq!(
                 serial.actions, eps[lane].actions,
                 "batch={batch} lane={lane}: training token stream diverged"
@@ -109,7 +107,7 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
             assert_eq!(serial.rewards, eps[lane].rewards);
 
             a2.zero_grad();
-            a2.backward_episode(sro.steps(), &advantages[lane], c.lambda);
+            a2.backward_episode(&serial.steps, &advantages[lane], c.lambda);
             assert_eq!(
                 a2.embed.table.grad.data, agrads.embed[lane].data,
                 "batch={batch} lane={lane}: embedding grads diverged"
@@ -134,7 +132,7 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
             let mut crng = StdRng::seed_from_u64(0xC0FFEE ^ lane as u64);
             let mut cstate = c2.begin();
             let mut csteps = Vec::new();
-            for s in sro.steps() {
+            for s in &serial.steps {
                 let prev = if s.input_token >= c2.vocab_size {
                     None
                 } else {
@@ -164,35 +162,6 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
             assert_eq!(c2.head.b.grad.data, cgrads.head[lane].b.data);
         }
     }
-}
-
-/// Through the trainer facade, `train_batched(n, 1)` is the legacy
-/// per-episode path: identical episodes and identical final weights.
-#[test]
-fn facade_train_batch_one_is_bit_identical_to_legacy() {
-    let (db, vocab) = testbed();
-    let est = Estimator::build(&db);
-    let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(100.0, 800.0));
-
-    let mut legacy = ActorCritic::new(vocab.size(), cfg());
-    let legacy_eps: Vec<Vec<usize>> = (0..8).map(|_| legacy.train_episode(&env).actions).collect();
-
-    let mut batched = ActorCritic::new(vocab.size(), cfg());
-    let batched_eps: Vec<Vec<usize>> = batched
-        .train_batched(&env, 8, 1)
-        .into_iter()
-        .map(|ep| ep.actions)
-        .collect();
-
-    assert_eq!(legacy_eps, batched_eps, "batch=1 is not the legacy path");
-    assert_eq!(
-        legacy.actor.head.w.value.data,
-        batched.actor.head.w.value.data
-    );
-    assert_eq!(
-        legacy.critic.head.w.value.data,
-        batched.critic.head.w.value.data
-    );
 }
 
 /// A fixed `(seed, batch)` training run reproduces bit-for-bit, and the

@@ -6,7 +6,10 @@
 //! * [`PagedDbWriter`] streams rows table-by-table into heap pages in
 //!   bounded memory (one page buffer in flight), then serializes the
 //!   catalog — every table's schema plus its page directory — as JSON
-//!   into trailing catalog pages and points the header at it.
+//!   into trailing catalog pages and points the header at it. It writes a
+//!   sibling temp file and renames it over the target only once the image
+//!   is complete and synced, so a failed or abandoned write leaves any
+//!   previous image at the target intact.
 //! * [`PagedDb`] opens the file, parses the catalog, and serves reads
 //!   through a shared [`BufferPool`]; it implements [`DbRead`] so the
 //!   executor, sampler, vocabulary and estimator all work against it
@@ -48,18 +51,30 @@ struct Catalog {
 }
 
 /// Streams a database to disk table-by-table in bounded memory.
+///
+/// Pages go to a sibling temp file; [`PagedDbWriter::finish`] syncs it and
+/// renames it over the target. Dropping the writer before `finish` (or a
+/// failed `finish`) removes the temp file and leaves the target as it was.
 pub struct PagedDbWriter {
     pager: Pager,
     current: Option<HeapWriter>,
     done: Vec<HeapSegment>,
+    target: PathBuf,
+    /// The temp file being written; `None` once renamed over `target`.
+    tmp: Option<PathBuf>,
 }
 
 impl PagedDbWriter {
     pub fn create(path: &Path) -> Result<PagedDbWriter, StorageError> {
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(format!(".tmp.{}", std::process::id()));
+        let tmp = path.with_file_name(name);
         Ok(PagedDbWriter {
-            pager: Pager::create(path)?,
+            pager: Pager::create(&tmp)?,
             current: None,
             done: Vec::new(),
+            target: path.to_path_buf(),
+            tmp: Some(tmp),
         })
     }
 
@@ -83,14 +98,14 @@ impl PagedDbWriter {
         Ok(())
     }
 
-    /// Writes the catalog and header, syncs, and closes the file.
+    /// Writes the catalog and header, syncs the temp file, and renames it
+    /// over the target.
     pub fn finish(mut self) -> Result<(), StorageError> {
         self.finish_table()?;
         // Sorted catalog order mirrors `Database`'s BTreeMap iteration.
         self.done.sort_by(|a, b| a.schema.name.cmp(&b.schema.name));
         let catalog = Catalog {
-            tables: self
-                .done
+            tables: std::mem::take(&mut self.done)
                 .into_iter()
                 .map(|seg| TableCatalog {
                     schema: seg.schema,
@@ -114,7 +129,19 @@ impl PagedDbWriter {
             None => self.pager.append_page(PageType::Catalog, b"")?,
         };
         self.pager.write_header(first, bytes.len() as u64)?;
-        self.pager.sync()
+        self.pager.sync()?;
+        let tmp = self.tmp.as_ref().expect("temp file until renamed");
+        std::fs::rename(tmp, &self.target)?;
+        self.tmp = None;
+        Ok(())
+    }
+}
+
+impl Drop for PagedDbWriter {
+    fn drop(&mut self) {
+        if let Some(tmp) = self.tmp.take() {
+            let _ = std::fs::remove_file(tmp);
+        }
     }
 }
 
@@ -549,6 +576,48 @@ mod tests {
             format!("{mem_stats:?}"),
             "stats under the row cap must be bit-identical"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A write that never reaches `finish` leaves the previous image at
+    /// the target untouched — it still opens and reads equal — and leaves
+    /// no temp file behind.
+    #[test]
+    fn abandoned_writer_leaves_previous_image_intact() {
+        let db = sample_db(600);
+        let path = temp_path("abandon");
+        save_database(&db, &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        {
+            let mut w = PagedDbWriter::create(&path).unwrap();
+            let table = db.tables().next().expect("sample db has a table");
+            w.begin_table(table.schema.clone()).unwrap();
+            let row: Vec<Value> = table.columns.iter().map(|c| c.get(0)).collect();
+            for _ in 0..5_000 {
+                w.push_row(&row).unwrap();
+            }
+            w.finish_table().unwrap();
+            // Dropped here without `finish`.
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let paged = PagedDb::open(&path, DEFAULT_POOL_BYTES).unwrap();
+        paged.verify().unwrap();
+        assert_eq!(
+            format!("{:?}", paged.load_database().unwrap()),
+            format!("{db:?}")
+        );
+        let dir = path.parent().unwrap();
+        let stem = path.file_name().unwrap().to_str().unwrap();
+        let leftovers: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| {
+                let name = e.file_name();
+                let name = name.to_string_lossy();
+                name.starts_with(stem) && name.len() > stem.len()
+            })
+            .collect();
+        assert!(leftovers.is_empty(), "temp file left behind");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,11 +1,27 @@
-//! One-shot fixture dumper: records the exact token streams the pre-kernel
-//! code produces for fixed seeds. The output is committed as
-//! `crates/sqlgen-rl/tests/fixtures/golden_tokens.json` and guarded by the
-//! determinism tests — the serial path must reproduce it bit-for-bit.
+//! Fixture dumper: records the exact token streams and pipeline output the
+//! trainers produce for fixed seeds. Writes three committed fixtures:
+//!
+//! * `crates/sqlgen-rl/tests/fixtures/golden_tokens.json` — `ActorCritic`
+//!   and `Reinforce` training and generation streams;
+//! * `crates/sqlgen-rl/tests/fixtures/golden_ablation_tokens.json` —
+//!   `MetaCriticTrainer` and `AcExtend` training and generation streams;
+//! * `crates/sqlgen-core/tests/fixtures/golden_pipeline.json` — the full
+//!   `GenConfig::fast()` pipeline with refinement off.
+//!
+//! The determinism tests pin every fixture bit-for-bit, and CI reruns this
+//! dumper and fails on any diff, so the fixtures and their generator cannot
+//! drift apart. Run from the repository root:
+//!
+//! ```sh
+//! cargo run --release --example golden_dump
+//! ```
 
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;
-use sqlgen_rl::{ActorCritic, Constraint, NetConfig, Reinforce, SqlGenEnv, TrainConfig};
+use sqlgen_rl::{
+    AcExtend, ActorCritic, Constraint, MetaCriticTrainer, NetConfig, Reinforce, SqlGenEnv,
+    TrainConfig,
+};
 use sqlgen_storage::gen::tpch_database;
 use sqlgen_storage::sample::SampleConfig;
 
@@ -58,16 +74,6 @@ fn main() {
         rf_generate.push(ep.actions.clone());
     }
 
-    fn arr(eps: &[Vec<usize>]) -> String {
-        let rows: Vec<String> = eps
-            .iter()
-            .map(|ep| {
-                let toks: Vec<String> = ep.iter().map(|a| a.to_string()).collect();
-                format!("[{}]", toks.join(","))
-            })
-            .collect();
-        format!("[{}]", rows.join(","))
-    }
     std::fs::write(
         "crates/sqlgen-rl/tests/fixtures/golden_tokens.json",
         format!(
@@ -80,13 +86,62 @@ fn main() {
     )
     .expect("write rl fixture");
 
+    // Ablation trainers: the meta-critic (two tasks, trained round-robin)
+    // and AC-extend (one network, constraint switched per episode).
+    let constraints = [
+        Constraint::cardinality_range(100.0, 800.0),
+        Constraint::cardinality_range(1_000.0, 5_000.0),
+    ];
+    let envs: Vec<SqlGenEnv> = constraints
+        .iter()
+        .map(|&c| SqlGenEnv::new(&vocab, &est, c))
+        .collect();
+    let mut mc = MetaCriticTrainer::new(vocab.size(), constraints.to_vec(), cfg());
+    let mut mc_train = Vec::new();
+    for _ in 0..12 {
+        for (i, env) in envs.iter().enumerate() {
+            mc_train.push(mc.train_task(i, env).actions);
+        }
+    }
+    let mut mc_generate = Vec::new();
+    for _ in 0..4 {
+        for (i, env) in envs.iter().enumerate() {
+            mc_generate.push(mc.generate(i, env).actions);
+        }
+    }
+    let mut ace = AcExtend::new(vocab.size(), cfg(), (10.0, 10_000.0));
+    let mut ace_train = Vec::new();
+    for _ in 0..12 {
+        for env in &envs {
+            ace_train.push(ace.train_episode(env).actions);
+        }
+    }
+    let mut ace_generate = Vec::new();
+    for _ in 0..4 {
+        for env in &envs {
+            ace_generate.push(ace.generate(env).actions);
+        }
+    }
+    std::fs::write(
+        "crates/sqlgen-rl/tests/fixtures/golden_ablation_tokens.json",
+        format!(
+            "{{\"mc_train\":{},\"mc_generate\":{},\"ace_train\":{},\"ace_generate\":{}}}\n",
+            arr(&mc_train),
+            arr(&mc_generate),
+            arr(&ace_train),
+            arr(&ace_generate)
+        ),
+    )
+    .expect("write ablation fixture");
+
     // Core-level fixture: the full pipeline (vocab build, training, SQL
-    // rendering) for GenConfig::fast().with_seed(5).
+    // rendering) for GenConfig::fast().with_seed(5) with refinement off —
+    // the configuration `golden_pipeline.rs` checks.
     use sqlgen_core::{GenConfig, LearnedSqlGen};
     let mut g = LearnedSqlGen::new(
         &db,
         Constraint::cardinality_range(100.0, 500.0),
-        GenConfig::fast().with_seed(5),
+        GenConfig::fast().with_seed(5).with_refine(false),
     );
     g.train(60);
     let trace_bits: Vec<String> = g
@@ -110,4 +165,16 @@ fn main() {
     )
     .expect("write core fixture");
     println!("fixtures written");
+}
+
+/// Renders episodes' token streams as a JSON array of arrays.
+fn arr(eps: &[Vec<usize>]) -> String {
+    let rows: Vec<String> = eps
+        .iter()
+        .map(|ep| {
+            let toks: Vec<String> = ep.iter().map(|a| a.to_string()).collect();
+            format!("[{}]", toks.join(","))
+        })
+        .collect();
+    format!("[{}]", rows.join(","))
 }

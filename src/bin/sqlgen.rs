@@ -56,7 +56,7 @@ FLAGS:
   --metric <card|cost>    constrained metric (default: card)
   --n <count>             queries to generate (default: 10)
   --train <episodes>      RL training episodes (default: 500; 0 with --load)
-  --batch <lanes>         lockstep inference lanes (default: 1 = exact serial)
+  --batch <lanes>         lockstep training and inference lanes (default: 1)
   --quant                 run inference on an int8 quantized weight snapshot
   --scale <sf>            data scale factor (default: 0.3)
   --seed <u64>            RNG seed (default: 42)
